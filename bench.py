@@ -1,7 +1,8 @@
 """Benchmark harness.
 
 Default: run the headline pipelines over ``$GRAFT_SF_DIR`` (default
-/root/testdata/sf0.1) at ``$RAY_GRAFT_CPUS`` CPUs (default 32) and print
+/root/testdata/sf0.1) at ``$RAY_GRAFT_CPUS`` CPUs (default: the CPUs this process may run
+on) and print
 ONE JSON line:
   {"metric": ..., "value": <headline sec>, "unit": "sec",
    "queries": {...}, "sf": ..., "num_cpus": N,
@@ -23,7 +24,8 @@ import sys
 import time
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS",
+                              len(os.sched_getaffinity(0))))
 CORPUS_MULT = int(os.environ.get("GRAFT_CORPUS_MULT", "4"))
 HEAVY = os.environ.get("GRAFT_CORPUS_HEAVY", "1") == "1"
 BENCH_REPS = int(os.environ.get("GRAFT_BENCH_REPS", "2"))

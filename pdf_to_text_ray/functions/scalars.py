@@ -82,9 +82,3 @@ def extract_fenced_json(response_text: str) -> str:
     except json.JSONDecodeError as e:
         raise ValueError("Invalid JSON response") from e
     return payload
-
-
-def csv_quote(value: str) -> str:
-    """Reference CSV quoting: bare double quotes around the raw value
-    (main.ts:48-49 — no escaping of embedded quotes, faithfully)."""
-    return f'"{value}"'

@@ -14,14 +14,16 @@ Design notes for 100 TB scale:
 - The raw ``html`` payload column is projected away at the dispatch
   stage — nothing heavy ever enters the dedup shuffle (SURVEY.md §4.3).
 - Extraction is one single-pass per-row dispatch (the reference's M8
-  content-type switch, main.ts:277-280, generalized): one actor pool,
-  mixed batches, small ``batch_size`` so a giant PDF cannot stall a
-  256-row batch. Oversized payloads are still bounded by Ray block
+  content-type switch, main.ts:277-280, generalized) run as stateless
+  tasks over mixed batches, with a small ``batch_size`` so a giant PDF
+  cannot stall a 256-row batch. Rows parse one at a time with no state
+  carried across rows, so oversized payloads are bounded by Ray block
   splitting + the dispatch ``batch_size``.
 - Resume granularity is an input **wave** (a bounded group of input
-  files): each wave is one streaming pipeline run whose output dir +
-  manifest are finalized atomically; a restarted job skips completed
-  waves (state/manifest.py). Cross-wave global dedup, when input spans
+  files; ``files_per_wave=1`` makes it one file): each wave is one
+  streaming pipeline run whose output dir + manifest are finalized
+  atomically; a restarted job skips completed waves
+  (state/manifest.py). Cross-wave global dedup, when input spans
   crawls, is ``dedup_pages_latest`` over the extracted output.
 """
 
@@ -42,6 +44,7 @@ from ..stages.sniff import sniff_batch
 from ..state import manifest as mstate
 
 DEFAULT_BATCH_SIZE = 64
+DEFAULT_FILES_PER_WAVE = 64
 
 
 def _file_sig(path: str) -> str:
@@ -53,11 +56,10 @@ def _file_sig(path: str) -> str:
 
 
 class ExtractDispatch:
-    """Single-pass router+extractor actor: per row, dispatch on doc_type.
+    """Single-pass router+extractor: per row, dispatch on doc_type.
 
-    Parser tables are module-level; the actor form reserves CPUs for
-    this CPU-bound stage and gives heavier per-worker state (font maps,
-    learned scorers) a home. Output drops the payload column.
+    Stateless: parser tables are module-level, so each worker process
+    builds them once at import. Output drops the payload column.
     """
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -144,75 +146,20 @@ class ExtractDispatch:
         )
 
 
-def extract_pages(ds, *, concurrency=None, batch_size: int = DEFAULT_BATCH_SIZE,
-                  num_cpus: float = 1.0, compute: str = "tasks"):
+def extract_pages(ds, *, batch_size: int = DEFAULT_BATCH_SIZE):
     """pages Dataset → extracted-text Dataset (TEXT_SCHEMA + lang).
 
-    ``compute="tasks"`` (default): stateless ``map_batches`` tasks — the
-    extractor's state (compiled regexes, tag/operator tables) is
-    module-level, amortized per worker process at import, so Ray's
-    pre-started worker pool runs batches immediately with no pool
-    ramp-up. ``compute="actors"``: an explicit ``ExtractDispatch`` actor
-    pool — the shape to use when per-worker state must be constructed
-    (a learned boilerplate scorer, font caches); costs ~seconds of
-    actor startup per run.
+    Stateless ``map_batches`` tasks: the extractor's state (compiled
+    regexes, tag/operator tables) is module-level, amortized per worker
+    process at import, so Ray's pre-started worker pool runs batches
+    immediately with no pool ramp-up.
     """
     ds = ds.map_batches(sniff_batch, batch_format="pyarrow")
-    if compute == "tasks":
-        dispatch = ExtractDispatch()
-        return ds.map_batches(
-            dispatch.__call__,
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            num_cpus=num_cpus,
-        )
-    if compute == "split-oversized":
-        # explicit size routing (SURVEY §4.2), SINGLE-PASS: each batch
-        # splits into its small and oversized rows inside ONE stage —
-        # small rows extract as the usual vector, oversized rows are
-        # sliced out and dispatched one row at a time so a giant
-        # document's transient parser state never multiplies across a
-        # multi-row batch. (The round-2 form ran two filter branches
-        # off the same upstream, which re-executed ReadParquet + sniff
-        # once PER BRANCH.) Isolating giants into their own BLOCKS
-        # stays Ray's job via target_max_block_size; this mode bounds
-        # per-task parse state only.
-        threshold = 4 * 1024 * 1024
-        dispatch = ExtractDispatch()
-
-        def split_dispatch(t: pa.Table) -> pa.Table:
-            big_mask = pc.greater_equal(pc.binary_length(t["html"]),
-                                        threshold)
-            if not pc.any(big_mask).as_py():
-                return dispatch(t)
-            parts = []
-            small_t = t.filter(pc.invert(big_mask))
-            if small_t.num_rows:
-                parts.append(dispatch(small_t))
-            big_t = t.filter(big_mask)
-            for i in range(big_t.num_rows):  # one giant row at a time
-                parts.append(dispatch(big_t.slice(i, 1)))
-            return pa.concat_tables(parts)
-
-        return ds.map_batches(split_dispatch, batch_format="pyarrow",
-                              batch_size=batch_size, num_cpus=num_cpus)
-    if concurrency is None:
-        import ray
-
-        # fixed pool sized to the cluster MINUS headroom for the read/
-        # sniff/write stages: a pool that reserves every CPU starves the
-        # producer and the pipeline deadlocks (observed: 8 actors on an
-        # 8-CPU cluster left ReadParquet permanently backpressured).
-        # Fixed rather than autoscaling so all actors start in parallel
-        # and a short job saturates immediately.
-        ncpu = int(ray.cluster_resources().get("CPU", 8))
-        concurrency = max(2, int((ncpu - 2) / max(num_cpus, 0.25)))
     return ds.map_batches(
-        ExtractDispatch,
+        ExtractDispatch().__call__,
         batch_format="pyarrow",
         batch_size=batch_size,
-        concurrency=concurrency,
-        num_cpus=num_cpus,
+        num_cpus=1.0,
     )
 
 
@@ -535,15 +482,12 @@ def run_extract(
     in_dir: str,
     out_dir: str,
     *,
-    files_per_wave: int = 8,
+    files_per_wave: int = DEFAULT_FILES_PER_WAVE,
     dedup: bool = True,
-    concurrency=None,
     batch_size: int = DEFAULT_BATCH_SIZE,
     fault_inject_after: int | None = None,
     partition_output: int | None = None,
     winners_mode: str = "broadcast",
-    file_granular_resume: bool = False,
-    fault_inject_after_files: int | None = None,
     sort_output: bool = False,
 ) -> dict[str, Any]:
     """Resumable wave-based run over every parquet file in ``in_dir``.
@@ -555,19 +499,13 @@ def run_extract(
     reprocessing exactly the shifted waves. Corpus SHRINK is not
     reconciled: orphan wave dirs beyond the new wave count are left in
     place — use a fresh out_dir when removing inputs. Returns the run
-    summary (state/manifest.summarize).
+    summary (state/manifest.summarize). ``files_per_wave=1`` makes the
+    resume unit one input file, so a kill redoes only unfinished files.
 
     ``winners_mode``: "broadcast" (default — winner arrays via ray.put,
     right up to ~10^8 urls) or "bucketed" (winner parquet partitioned by
     hash(url) bucket + actor-pool probe — the ≥10^9-url path; the full
-    winner set never materializes on one node).
-
-    ``file_granular_resume``: make the resume unit an input FILE inside
-    the wave — each file extracts into ``wave=W/file=NNN/`` with its own
-    atomically-written sub-manifest, so a mid-wave kill redoes only the
-    interrupted file instead of the whole wave. The wave manifest (the
-    aggregation of its sub-manifests) is still written last and remains
-    the wave-done marker."""
+    winner set never materializes on one node)."""
     import ray.data as rd
 
     files = sorted(
@@ -593,10 +531,18 @@ def run_extract(
 
             winners_ref = ray.put(compute_latest_winners(files))
 
-    def unit_digest(unit_files: list[str]) -> str | None:
-        """Order-free digest of the unit's SURVIVING (url, warc_ts)
-        pairs — exactly what the unit's output depends on. Pruned
-        2-column scan through the same winner filter the unit itself
+    def latest(ds):
+        """The dedup semi-join (identity without dedup)."""
+        if winners_dir is not None:
+            return filter_latest_bucketed(ds, winners_dir)
+        if winners_ref is not None:
+            return filter_latest(ds, winners_ref)
+        return ds
+
+    def wave_digest(wave_files: list[str]) -> str | None:
+        """Order-free digest of the wave's SURVIVING (url, warc_ts)
+        pairs — exactly what the wave's output depends on. Pruned
+        2-column scan through the same winner filter the wave itself
         uses; per-batch partial = wrapping uint64 sum of mixed hashes,
         so the digest is scheduling- and partitioning-independent."""
         if not dedup:
@@ -604,11 +550,7 @@ def run_extract(
         import numpy as np
         import pandas as pd
 
-        proj = rd.read_parquet(unit_files, columns=["url", "warc_ts"])
-        if winners_dir is not None:
-            proj = filter_latest_bucketed(proj, winners_dir)
-        elif winners_ref is not None:
-            proj = filter_latest(proj, winners_ref)
+        proj = latest(rd.read_parquet(wave_files, columns=["url", "warc_ts"]))
 
         def partial(t: pa.Table) -> pa.Table:
             uh = pd.util.hash_array(
@@ -627,7 +569,7 @@ def run_extract(
         parts = proj.map_batches(partial, batch_format="pyarrow").to_pandas()
         acc = np.uint64(0)
         n = np.uint64(0)
-        if len(parts):  # a fully-deduped unit yields an empty frame
+        if len(parts):  # a fully-deduped wave yields an empty frame
             for x, m in zip(parts["x"], parts["n"]):
                 acc ^= np.uint64(x)
                 n += np.uint64(m)
@@ -642,7 +584,7 @@ def run_extract(
     # matches: a newer duplicate arriving in ANOTHER file demotes this
     # wave's row from winner to loser, so the wave must re-run even
     # though its own files are unchanged. Mismatched waves reprocess
-    # (run_unit clears their dir first) — incremental corpus growth
+    # (run_wave clears their dir first) — incremental corpus growth
     # self-heals whatever the sort order.
     done = set()
     wave_digests: dict[int, str | None] = {}
@@ -654,41 +596,33 @@ def run_extract(
         if m is None or m.get("input_sigs") != [_file_sig(f) for f in wf]:
             continue
         if dedup:
-            dig = unit_digest(wf)
+            dig = wave_digest(wf)
             wave_digests[i] = dig
             if m.get("survivor_digest") != dig:
                 continue
         done.add(i)
     import shutil as _shutil
 
-    _ZERO = {"rows": 0, "pdf_docs": 0, "html_docs": 0, "text_docs": 0,
-             "pages": 0, "parse_failures": 0, "fallbacks": 0}
-
-    def run_unit(unit_files: list[str], unit_dir: str) -> dict[str, Any]:
-        """One resume unit (a wave, or a single file in granular mode):
-        extract → write to a temp dir → atomic rename. Ray write_parquet
-        file names are unique per execution, so re-running a crashed
-        unit into the same dir would silently ADD rows alongside the
-        partial output of the failed attempt — stale partial (or
-        renamed-but-unmanifested) dirs are removed first; the manifest,
-        written last, is the only completion marker."""
+    def run_wave(wave_files: list[str], wdir: str) -> dict[str, Any]:
+        """Extract → write to a temp dir → atomic rename. Ray
+        write_parquet file names are unique per execution, so re-running
+        a crashed wave into the same dir would silently ADD rows
+        alongside the partial output of the failed attempt — stale
+        partial (or renamed-but-unmanifested) dirs are removed first;
+        the manifest, written last, is the only completion marker."""
         t0 = time.perf_counter()
-        ds = rd.read_parquet(unit_files)
-        if winners_dir is not None:
-            ds = filter_latest_bucketed(ds, winners_dir)
-        elif winners_ref is not None:
-            ds = filter_latest(ds, winners_ref)
-        ds = extract_pages(ds, concurrency=concurrency, batch_size=batch_size)
+        ds = extract_pages(latest(rd.read_parquet(wave_files)),
+                           batch_size=batch_size)
         if sort_output:
-            # deterministic row ordering across the unit's files
+            # deterministic row ordering across the wave's files
             # (SURVEY §2.6: sort key = url, stable diffable output);
-            # one range-partitioned shuffle per unit, applied after
+            # one range-partitioned shuffle per wave, applied after
             # extraction so only extracted text moves
             ds = ds.sort("url")
-        utmp = unit_dir + ".__tmp__"
-        _shutil.rmtree(utmp, ignore_errors=True)
-        _shutil.rmtree(unit_dir, ignore_errors=True)
-        os.makedirs(utmp, exist_ok=True)  # a fully-deduped unit is empty
+        wtmp = wdir + ".__tmp__"
+        _shutil.rmtree(wtmp, ignore_errors=True)
+        _shutil.rmtree(wdir, ignore_errors=True)
+        os.makedirs(wtmp, exist_ok=True)  # a fully-deduped wave is empty
         if partition_output:
             import pandas as pd
 
@@ -701,89 +635,29 @@ def run_extract(
 
             # stable output layout: part_id = hash(url) % P (SURVEY §4.2)
             ds.map_batches(add_part, batch_format="pandas").write_parquet(
-                utmp, partition_cols=["part_id"])
+                wtmp, partition_cols=["part_id"])
         else:
-            ds.write_parquet(utmp)
-        os.replace(utmp, unit_dir)
+            ds.write_parquet(wtmp)
+        os.replace(wtmp, wdir)
         has_rows = any(
             f.endswith(".parquet") or f.startswith("part_id=")
-            for f in os.listdir(unit_dir)
+            for f in os.listdir(wdir)
         )
-        metrics = _wave_metrics(unit_dir) if has_rows else dict(_ZERO)
+        metrics = _wave_metrics(wdir) if has_rows else {
+            "rows": 0, "pdf_docs": 0, "html_docs": 0, "text_docs": 0,
+            "pages": 0, "parse_failures": 0, "fallbacks": 0}
         elapsed = time.perf_counter() - t0
         metrics["wall_sec"] = round(elapsed, 3)
         metrics["docs_per_sec"] = round(metrics["rows"] / elapsed, 2) if elapsed else 0.0
         return metrics
 
     ran = 0
-    files_ran = 0
     for wave_idx, wave_files in enumerate(waves):
         if wave_idx in done:
             continue
         if fault_inject_after is not None and ran >= fault_inject_after:
             raise RuntimeError(f"fault injection: stopping before wave {wave_idx}")
-        wdir = mstate.wave_dir(out_dir, wave_idx)
-        if file_granular_resume:
-            done_subs = mstate.completed_subunits(out_dir, wave_idx)
-            os.makedirs(wdir, exist_ok=True)
-            sub_metrics: list[dict[str, Any]] = []
-            kept_sub_dirs: set[str] = set()
-            sub_plan: list[tuple[int, str, str | None, bool]] = []
-            for sub_idx, f in enumerate(wave_files):
-                # mid-wave resume: skip done files — with the same
-                # lineage checks as waves (the recorded file must be
-                # THIS file AND, under dedup, its survivor digest must
-                # be unchanged — a newer duplicate in another file
-                # demotes this file's row)
-                sub = done_subs.get(sub_idx)
-                sdig = unit_digest([f])
-                ok = (sub is not None
-                      and sub.get("input_sigs") == [_file_sig(f)]
-                      and (not dedup or sub.get("survivor_digest") == sdig))
-                sub_plan.append((sub_idx, f, sdig, ok))
-                if ok:
-                    kept_sub_dirs.add(os.path.basename(
-                        mstate.sub_dir(out_dir, wave_idx, sub_idx)))
-            # purge stale wave-dir content a previous run/mode left
-            # behind (flat parquet from a non-granular attempt, or
-            # file=NNN dirs of an old composition) — run_unit only
-            # clears the sub dirs it is about to rewrite, so without
-            # this the old rows would merge into the re-run's output
-            for entry in os.listdir(wdir):
-                if entry not in kept_sub_dirs:
-                    p = os.path.join(wdir, entry)
-                    (_shutil.rmtree(p, ignore_errors=True)
-                     if os.path.isdir(p) else os.unlink(p))
-            for sub_idx, f, sdig, ok in sub_plan:
-                if ok:
-                    sub_metrics.append(done_subs[sub_idx]["metrics"])
-                    continue
-                if (fault_inject_after_files is not None
-                        and files_ran >= fault_inject_after_files):
-                    raise RuntimeError(
-                        f"fault injection: stopping before wave {wave_idx} "
-                        f"file {sub_idx}")
-                m = run_unit([f], mstate.sub_dir(out_dir, wave_idx, sub_idx))
-                mstate.write_sub_manifest(out_dir, wave_idx, sub_idx, {
-                    "wave": wave_idx, "file_idx": sub_idx,
-                    "input_files": [os.path.basename(f)],
-                    "input_sigs": [_file_sig(f)], "metrics": m,
-                    "survivor_digest": sdig,
-                })
-                sub_metrics.append(m)
-                files_ran += 1
-            metrics = dict(_ZERO)
-            metrics["wall_sec"] = 0.0
-            for m in sub_metrics:
-                for k in metrics:
-                    metrics[k] = round(metrics[k] + m.get(k, 0), 3)
-            ws = metrics["wall_sec"]
-            metrics["docs_per_sec"] = round(metrics["rows"] / ws, 2) if ws else 0.0
-        else:
-            metrics = run_unit(wave_files, wdir)
-        dig = wave_digests.get(wave_idx)
-        if dig is None and dedup:
-            dig = unit_digest(wave_files)
+        metrics = run_wave(wave_files, mstate.wave_dir(out_dir, wave_idx))
         payload: dict[str, Any] = {
             "wave": wave_idx,
             "input_files": [os.path.basename(f) for f in wave_files],
@@ -791,7 +665,8 @@ def run_extract(
             "metrics": metrics,
         }
         if dedup:
-            payload["survivor_digest"] = dig
+            payload["survivor_digest"] = (wave_digests.get(wave_idx)
+                                          or wave_digest(wave_files))
         mstate.write_manifest(out_dir, wave_idx, payload)
         ran += 1
     return mstate.summarize(out_dir)

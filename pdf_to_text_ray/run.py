@@ -19,26 +19,26 @@ import json
 
 
 def main(argv: list[str] | None = None) -> int:
+    from .pipelines.extract import (DEFAULT_BATCH_SIZE,
+                                    DEFAULT_FILES_PER_WAVE, run_extract)
+
     ap = argparse.ArgumentParser(description="Ray-Data-native page extraction")
     ap.add_argument("--in-dir", required=True, help="directory of pages parquet")
     ap.add_argument("--out-dir", required=True, help="output root (waves + manifests)")
-    ap.add_argument("--files-per-wave", type=int, default=64)
+    ap.add_argument("--files-per-wave", type=int, default=DEFAULT_FILES_PER_WAVE)
     ap.add_argument("--no-dedup", action="store_true")
-    ap.add_argument("--batch-size", type=int, default=64)
+    ap.add_argument("--batch-size", type=int, default=DEFAULT_BATCH_SIZE)
     ap.add_argument("--cpus", type=int, default=None,
                     help="num_cpus for a local session (ignored on a cluster)")
     ap.add_argument("--winners-mode", choices=["broadcast", "bucketed"],
                     default="broadcast",
                     help="dedup winner state: broadcast arrays (≲1e8 urls)"
                          " or hash-bucketed parquet (beyond)")
-    ap.add_argument("--file-granular-resume", action="store_true",
-                    help="resume unit = input file inside a wave (a"
-                         " mid-wave kill redoes only the interrupted file)")
     ap.add_argument("--partition-output", type=int, default=None,
                     help="partition wave output by hash(url) %% N")
     ap.add_argument("--sort-output", action="store_true",
-                    help="globally sort each unit's output rows by url"
-                         " (stable diffable layout; one shuffle per unit)")
+                    help="globally sort each wave's output rows by url"
+                         " (stable diffable layout; one shuffle per wave)")
     args = ap.parse_args(argv)
 
     import ray
@@ -49,8 +49,6 @@ def main(argv: list[str] | None = None) -> int:
             kwargs.update(address="local", num_cpus=args.cpus)
         ray.init(**kwargs)
 
-    from .pipelines.extract import run_extract
-
     try:
         summary = run_extract(
             args.in_dir,
@@ -59,7 +57,6 @@ def main(argv: list[str] | None = None) -> int:
             dedup=not args.no_dedup,
             batch_size=args.batch_size,
             winners_mode=args.winners_mode,
-            file_granular_resume=args.file_granular_resume,
             partition_output=args.partition_output,
             sort_output=args.sort_output,
         )

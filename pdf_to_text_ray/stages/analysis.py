@@ -56,19 +56,6 @@ def token_stats_batch(batch: pd.DataFrame, text_col: str = "text") -> pd.DataFra
     return out
 
 
-def quality_filter_batch(batch: pd.DataFrame, *, min_tokens: int = 10,
-                         max_punct_ratio: float = 0.2,
-                         min_avg_token_len: float = 2.0) -> pd.DataFrame:
-    """Heuristic quality gate (length / punctuation / word-shape)."""
-    stats = token_stats_batch(batch)
-    keep = (
-        (stats["n_tokens"] >= min_tokens)
-        & (stats["punct_ratio"] <= max_punct_ratio)
-        & (stats["avg_token_len"] >= min_avg_token_len)
-    )
-    return stats[keep]
-
-
 # ── language identification (n-gram / stopword heuristic) ─────────────
 
 _STOPWORDS = {

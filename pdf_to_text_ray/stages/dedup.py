@@ -51,13 +51,6 @@ def content_hash(text: str) -> str:
     return hashlib.md5((text or "").encode("utf-8")).hexdigest()
 
 
-def add_content_hash_batch(batch: pd.DataFrame, text_col: str = "text",
-                           out_col: str = "text_hash") -> pd.DataFrame:
-    batch = batch.copy()
-    batch[out_col] = [content_hash(t) for t in batch[text_col].fillna("")]
-    return batch
-
-
 def exact_dedup(ds, key_col: str = "doc_id", text_col: str = "text"):
     """Exact dedup: min key per content hash. Returns (text_hash, doc_id).
 

@@ -36,10 +36,6 @@ _C0 = np.uint32(0x98BADCFE)
 _D0 = np.uint32(0x10325476)
 
 
-def _rotl(x: np.ndarray, s: int) -> np.ndarray:
-    return (x << np.uint32(s)) | (x >> np.uint32(32 - s))
-
-
 def md5_single_block(m: np.ndarray) -> tuple[np.ndarray, np.ndarray,
                                              np.ndarray, np.ndarray]:
     """MD5 compression over N pre-padded single blocks.

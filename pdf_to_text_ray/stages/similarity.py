@@ -388,25 +388,6 @@ def ann_lsh_topk(ds, query_ids: list[int], k: int = 10,
 _IVF_SEED = 4099
 
 
-def ivf_centroids(sample: np.ndarray, n_lists: int, n_iters: int = 10) -> np.ndarray:
-    """Seeded Lloyd's k-means over a (normalized) sample — the coarse
-    quantizer. Deterministic: fixed seed, fixed iteration count."""
-    rng = np.random.RandomState(_IVF_SEED)
-    sample = _normalize(sample)
-    idx = rng.choice(len(sample), size=min(n_lists, len(sample)), replace=False)
-    cents = sample[idx].copy()
-    for _ in range(n_iters):
-        assign = np.argmax(sample @ cents.T, axis=1)
-        for c in range(len(cents)):
-            members = sample[assign == c]
-            if len(members):
-                v = members.mean(axis=0)
-                n = np.linalg.norm(v)
-                if n > 0:
-                    cents[c] = v / n
-    return cents
-
-
 def ivf_centroids_distributed(ds, n_lists: int, *, n_iters: int = 8,
                               vec_col: str = "embedding",
                               id_col: str = "vec_id",

@@ -38,17 +38,6 @@ def morton2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _spread_bits_32(a) | (_spread_bits_32(b) << np.uint64(1))
 
 
-def _normalize_u32(arr: np.ndarray) -> np.ndarray:
-    """Rank-preserving map of a numeric column into uint32 space:
-    subtract the column min (int columns) so small domains use the low
-    bits densely; timestamps pass through their int64 representation
-    scaled to seconds first."""
-    if np.issubdtype(arr.dtype, np.datetime64):
-        arr = arr.astype("datetime64[s]").astype("int64")
-    arr = arr.astype("int64")
-    return (arr - arr.min()).astype(np.uint64)
-
-
 def zorder_code_batch(t: pa.Table, cols: tuple[str, str],
                       mins: tuple[int, int]) -> pa.Table:
     """Append the Z-code of two columns (pre-computed global mins keep

@@ -9,13 +9,10 @@ restarted job skips finished waves (SURVEY.md §4.2 "checkpoint/resume").
 Layout:
     out_dir/
       wave=00000/ *.parquet          # one directory per input wave
-      wave=00000/file=003/ ...       # optional per-file sub-units
       _manifests/wave-00000.json     # written AFTER the wave's data
-      _manifests/wave-00000.f003.json  # per-sub-unit (file) manifests
 
-Resume granularity: the wave manifest marks the whole wave done; with
-file-granular mode, each input FILE inside a wave gets its own output
-dir + manifest, so a mid-wave kill redoes only the interrupted file.
+Resume granularity: the wave manifest marks the whole wave done;
+``files_per_wave=1`` makes the resume unit one input file.
 """
 
 from __future__ import annotations
@@ -27,29 +24,24 @@ import tempfile
 from typing import Any
 
 MANIFEST_DIR = "_manifests"
-# {5,}/{3,}: the :05d/:03d writers GROW past their pad at scale
-# (>100k waves / >1k files per wave) — a fixed width would make
-# completed_waves silently unload them and resume re-run forever
+# {5,}: the :05d writer GROWS past its pad at scale (>100k waves) — a
+# fixed width would make completed_waves silently unload them and
+# resume re-run forever
 _WAVE_RE = re.compile(r"^wave-(\d{5,})\.json$")
-_SUB_RE = re.compile(r"^wave-(\d{5,})\.f(\d{3,})\.json$")
 
 
 def manifest_path(out_dir: str, wave_idx: int) -> str:
     return os.path.join(out_dir, MANIFEST_DIR, f"wave-{wave_idx:05d}.json")
 
 
-def sub_manifest_path(out_dir: str, wave_idx: int, sub_idx: int) -> str:
-    return os.path.join(out_dir, MANIFEST_DIR,
-                        f"wave-{wave_idx:05d}.f{sub_idx:03d}.json")
+def wave_dir(out_dir: str, wave_idx: int) -> str:
+    return os.path.join(out_dir, f"wave={wave_idx:05d}")
 
 
-def sub_dir(out_dir: str, wave_idx: int, sub_idx: int) -> str:
-    return os.path.join(wave_dir(out_dir, wave_idx), f"file={sub_idx:03d}")
-
-
-def _atomic_write_json(path: str, payload: dict[str, Any]) -> str:
+def write_manifest(out_dir: str, wave_idx: int, payload: dict[str, Any]) -> str:
     """Temp file + rename: a partially-written manifest can never mark
-    a unit as complete (shared by wave and sub-unit writers)."""
+    a wave as complete."""
+    path = manifest_path(out_dir, wave_idx)
     os.makedirs(os.path.dirname(path), exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
     try:
@@ -62,41 +54,13 @@ def _atomic_write_json(path: str, payload: dict[str, Any]) -> str:
     return path
 
 
-def write_sub_manifest(out_dir: str, wave_idx: int, sub_idx: int,
-                       payload: dict[str, Any]) -> str:
-    return _atomic_write_json(
-        sub_manifest_path(out_dir, wave_idx, sub_idx), payload)
-
-
-def completed_subunits(out_dir: str, wave_idx: int) -> dict[int, dict[str, Any]]:
-    """sub_idx → manifest payload for this wave's completed sub-units."""
-    mdir = os.path.join(out_dir, MANIFEST_DIR)
-    out: dict[int, dict[str, Any]] = {}
-    if not os.path.isdir(mdir):
-        return out
-    for name in sorted(os.listdir(mdir)):
-        m = _SUB_RE.match(name)
-        if m and int(m.group(1)) == wave_idx:
-            with open(os.path.join(mdir, name)) as f:
-                out[int(m.group(2))] = json.load(f)
-    return out
-
-
-def wave_dir(out_dir: str, wave_idx: int) -> str:
-    return os.path.join(out_dir, f"wave={wave_idx:05d}")
-
-
-def write_manifest(out_dir: str, wave_idx: int, payload: dict[str, Any]) -> str:
-    return _atomic_write_json(manifest_path(out_dir, wave_idx), payload)
-
-
 def load_manifests(out_dir: str) -> dict[int, dict[str, Any]]:
     mdir = os.path.join(out_dir, MANIFEST_DIR)
     out: dict[int, dict[str, Any]] = {}
     if not os.path.isdir(mdir):
         return out
     for name in sorted(os.listdir(mdir)):
-        m = _WAVE_RE.match(name)  # sub-unit manifests are not waves
+        m = _WAVE_RE.match(name)
         if m:
             with open(os.path.join(mdir, name)) as f:
                 payload = json.load(f)
