@@ -8,7 +8,9 @@ Ray-Data-native restatement of the reference's POST /upload flow
       → filter_latest(winners)                   [dedup BEFORE parse]
       → map_batches(sniff)  [+ gzip detection]   [stateless tasks]
       → map_batches(ExtractDispatch)             [PDF/HTML/text by row]
-      → write_parquet per wave + manifest        [resume unit]
+      → write_parquet per wave                   [resume unit]
+    metrics + survivor digest ← written files    [driver read, no Ray]
+      → manifest
 
 Design notes for 100 TB scale:
 - The raw ``html`` payload column is projected away at the dispatch
@@ -25,6 +27,9 @@ Design notes for 100 TB scale:
   atomically; a restarted job skips completed waves
   (state/manifest.py). Cross-wave global dedup, when input spans
   crawls, is ``dedup_pages_latest`` over the extracted output.
+- A wave is one Ray execution: its manifest metrics and survivor
+  digest come from a driver-side read of the files it wrote; only a
+  restart re-derives the digest from the input (``wave_digest``).
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from typing import Any
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..schemas import DOC_TYPE_HTML, DOC_TYPE_PDF
+from ..schemas import DOC_TYPE_HTML, DOC_TYPE_PDF, DOC_TYPE_TEXT
 from ..stages.charset import decode_payload as decode_html_payload
 from ..stages.html_extract import extract_html_text
 from ..stages.pdf_extract import extract_pdf_text
@@ -270,19 +275,27 @@ def _cached_get(ref):
     return _BROADCAST_CACHE[key]
 
 
-def _winner_mask(b: pa.Table, urls: "Any", ts: "Any") -> pa.Array:
+def _keys(t) -> tuple:
+    """A table's (url, warc_ts) rows as (object array, int64 µs array)."""
     import numpy as np
 
-    burls = np.asarray(b["url"].to_pylist(), dtype=object)
-    bts = b["warc_ts"].to_numpy(zero_copy_only=False).astype("datetime64[us]").view("int64")
-    idx = np.searchsorted(urls, burls)
-    idx_c = np.minimum(idx, len(urls) - 1) if len(urls) else idx
-    hit = (
-        (urls[idx_c] == burls) & (ts[idx_c] == bts)
-        if len(urls)
-        else np.zeros(len(burls), dtype=bool)
-    )
-    return pa.array(hit)
+    return (np.asarray(t["url"].to_pylist(), dtype=object),
+            t["warc_ts"].to_numpy(zero_copy_only=False)
+            .astype("datetime64[us]").view("int64"))
+
+
+def _probe(urls, ts, burls, bts):
+    """Mask of the (burls, bts) rows found in url-sorted winner arrays."""
+    import numpy as np
+
+    if not len(urls):
+        return np.zeros(len(burls), dtype=bool)
+    idx = np.minimum(np.searchsorted(urls, burls), len(urls) - 1)
+    return (urls[idx] == burls) & (ts[idx] == bts)
+
+
+def _winner_mask(b: pa.Table, urls: "Any", ts: "Any") -> pa.Array:
+    return pa.array(_probe(urls, ts, *_keys(b)))
 
 
 def filter_latest(ds, winners_ref):
@@ -362,7 +375,6 @@ class _BucketedWinnerFilter:
         self._cache: dict[int, tuple] = {}
 
     def _bucket_arrays(self, bucket: int):
-        import numpy as np
         import pyarrow.parquet as pq
 
         if bucket in self._cache:
@@ -373,15 +385,10 @@ class _BucketedWinnerFilter:
             if len(self._cache) >= self.max_cached:
                 self._cache.pop(next(iter(self._cache)))
             path = os.path.join(self.winners_dir, f"bucket={bucket}")
-            if not os.path.isdir(path):
-                self._cache[bucket] = (np.empty(0, object), np.empty(0, np.int64))
-            else:
-                t = pq.read_table(path, columns=["url", "warc_ts"])
-                df = t.to_pandas().sort_values("url", kind="stable")
-                self._cache[bucket] = (
-                    df["url"].to_numpy(dtype=object),
-                    df["warc_ts"].to_numpy().astype("datetime64[us]").view("int64"),
-                )
+            # urls are unique within a bucket, so the sort needs no tiebreak
+            self._cache[bucket] = _keys(
+                pq.read_table(path, columns=["url", "warc_ts"]).sort_by("url")
+            ) if os.path.isdir(path) else ((), ())
         return self._cache[bucket]
 
     def __call__(self, b: pa.Table) -> pa.Table:
@@ -390,18 +397,12 @@ class _BucketedWinnerFilter:
 
         if b.num_rows == 0:
             return b
-        burls = np.asarray(b["url"].to_pylist(), dtype=object)
-        bts = b["warc_ts"].to_numpy(zero_copy_only=False).astype(
-            "datetime64[us]").view("int64")
+        burls, bts = _keys(b)
         buckets = pd.util.hash_array(burls) % self.num_buckets
         hit = np.zeros(len(burls), dtype=bool)
         for bk in np.unique(buckets):
-            urls, ts = self._bucket_arrays(int(bk))
             sel = buckets == bk
-            if len(urls) == 0:
-                continue
-            idx = np.minimum(np.searchsorted(urls, burls[sel]), len(urls) - 1)
-            hit[sel] = (urls[idx] == burls[sel]) & (ts[idx] == bts[sel])
+            hit[sel] = _probe(*self._bucket_arrays(int(bk)), burls[sel], bts[sel])
         return b.filter(pa.array(hit))
 
 
@@ -453,29 +454,52 @@ def extract_corpus_pipeline(pages_dir: str, *, override_num_blocks: int | None =
     return extract_pages(filter_latest(ds, winners_ref), batch_size=batch_size)
 
 
-def _wave_metrics(wave_out_dir: str) -> dict[str, Any]:
-    """Post-write metrics from the (small) flag/count columns only."""
-    import ray.data as rd
+def _survivor_mix(t) -> tuple[int, int]:
+    """(XOR, count) of mixed (url, warc_ts) hashes over a table's rows —
+    one partial of the survivor digest. XOR and count merge in any
+    order, so the digest is scheduling- and partitioning-independent."""
+    import numpy as np
+    import pandas as pd
 
-    cols = rd.read_parquet(
-        wave_out_dir, columns=["doc_type", "n_pages", "parse_failure", "fallback"]
-    )
+    urls, ts = _keys(t)
+    z = pd.util.hash_array(urls) ^ ts.view("uint64")
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z = z ^ (z >> np.uint64(31))
+    return (int(np.bitwise_xor.reduce(z)) if len(z) else 0), len(z)
 
-    def agg(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "rows": [batch.num_rows],
-                "pdf_docs": [pc.sum(pc.equal(batch["doc_type"], "pdf")).as_py() or 0],
-                "html_docs": [pc.sum(pc.equal(batch["doc_type"], "html")).as_py() or 0],
-                "text_docs": [pc.sum(pc.equal(batch["doc_type"], "text")).as_py() or 0],
-                "pages": [pc.sum(batch["n_pages"]).as_py() or 0],
-                "parse_failures": [pc.sum(pc.cast(batch["parse_failure"], pa.int64())).as_py() or 0],
-                "fallbacks": [pc.sum(pc.cast(batch["fallback"], pa.int64())).as_py() or 0],
-            }
-        )
 
-    partials = cols.map_batches(agg, batch_format="pyarrow").to_pandas()
-    return {k: int(partials[k].sum()) for k in partials.columns}
+def _digest(parts) -> str:
+    acc = n = 0
+    for x, m in parts:
+        acc ^= x
+        n += m
+    return f"{acc:016x}:{n}"
+
+
+def _written_wave(wdir: str) -> tuple[dict[str, int], str]:
+    """(manifest metrics, survivor digest) of a finished wave, streamed
+    from the small columns of the files it wrote. A wave writes exactly
+    its surviving rows, so the digest equals ``wave_digest``'s."""
+    import pyarrow.dataset as pads
+
+    keys = ("rows", "pdf_docs", "html_docs", "text_docs", "pages",
+            "parse_failures", "fallbacks")
+    metrics = dict.fromkeys(keys, 0)
+    parts = []
+    d = pads.dataset(wdir, format="parquet", partitioning="hive")
+    # a fully deduped wave writes no file, so there is no schema to read
+    for b in d.to_batches(columns=["url", "warc_ts", "doc_type", "n_pages",
+                                   "parse_failure", "fallback"]) if d.files else ():
+        parts.append(_survivor_mix(b))
+        dt = b["doc_type"]
+        metrics["rows"] += b.num_rows
+        for k, a in zip(keys[1:], (
+                pc.equal(dt, DOC_TYPE_PDF), pc.equal(dt, DOC_TYPE_HTML),
+                pc.equal(dt, DOC_TYPE_TEXT), b["n_pages"], b["parse_failure"],
+                b["fallback"])):
+            metrics[k] += pc.sum(a.cast(pa.int64())).as_py() or 0
+    return metrics, _digest(parts)
 
 
 def run_extract(
@@ -539,41 +563,14 @@ def run_extract(
             return filter_latest(ds, winners_ref)
         return ds
 
-    def wave_digest(wave_files: list[str]) -> str | None:
+    def wave_digest(wave_files: list[str]) -> str:
         """Order-free digest of the wave's SURVIVING (url, warc_ts)
-        pairs — exactly what the wave's output depends on. Pruned
-        2-column scan through the same winner filter the wave itself
-        uses; per-batch partial = wrapping uint64 sum of mixed hashes,
-        so the digest is scheduling- and partitioning-independent."""
-        if not dedup:
-            return None
-        import numpy as np
-        import pandas as pd
-
+        pairs — exactly what its output depends on — from a pruned scan
+        through the wave's own winner filter. Resume only: a wave that
+        runs takes its digest from the rows it wrote."""
         proj = latest(rd.read_parquet(wave_files, columns=["url", "warc_ts"]))
-
-        def partial(t: pa.Table) -> pa.Table:
-            uh = pd.util.hash_array(
-                np.asarray(t["url"].to_pylist(), dtype=object))
-            ts = t["warc_ts"].to_numpy(zero_copy_only=False)\
-                .astype("datetime64[us]").view("uint64")
-            z = uh ^ ts
-            z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-            z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-            z = z ^ (z >> np.uint64(31))
-            acc = np.bitwise_xor.reduce(z) if len(z) else np.uint64(0)
-            n = np.uint64(len(z))
-            return pa.table({"x": pa.array([int(acc)], pa.uint64()),
-                             "n": pa.array([int(n)], pa.uint64())})
-
-        parts = proj.map_batches(partial, batch_format="pyarrow").to_pandas()
-        acc = np.uint64(0)
-        n = np.uint64(0)
-        if len(parts):  # a fully-deduped wave yields an empty frame
-            for x, m in zip(parts["x"], parts["n"]):
-                acc ^= np.uint64(x)
-                n += np.uint64(m)
-        return f"{int(acc):016x}:{int(n)}"
+        return _digest(_survivor_mix(b)
+                       for b in proj.iter_batches(batch_format="pyarrow"))
 
     # Lineage-validated resume: a wave counts as done ONLY if (a) its
     # manifest's recorded input_files equal the wave's CURRENT
@@ -585,31 +582,30 @@ def run_extract(
     # wave's row from winner to loser, so the wave must re-run even
     # though its own files are unchanged. Mismatched waves reprocess
     # (run_wave clears their dir first) — incremental corpus growth
-    # self-heals whatever the sort order.
+    # self-heals whatever the sort order. The file signatures
+    # (basename:size:mtime — basenames alone false-match a re-pointed
+    # in_dir) are taken once, before any wave reads, and the manifest
+    # records these: a file replaced while its wave runs then fails the
+    # check on restart.
+    sigs = [[_file_sig(f) for f in wf] for wf in waves]
     done = set()
-    wave_digests: dict[int, str | None] = {}
     for i, wf in enumerate(waves):
         m = manifests.get(i)
-        # Basenames alone can false-match when the run is re-pointed at
-        # a DIFFERENT in_dir whose files share names — the signature
-        # (basename:size:mtime) catches changed content too.
-        if m is None or m.get("input_sigs") != [_file_sig(f) for f in wf]:
+        if m is None or m.get("input_sigs") != sigs[i]:
             continue
-        if dedup:
-            dig = wave_digest(wf)
-            wave_digests[i] = dig
-            if m.get("survivor_digest") != dig:
-                continue
+        if dedup and m.get("survivor_digest") != wave_digest(wf):
+            continue
         done.add(i)
     import shutil as _shutil
 
-    def run_wave(wave_files: list[str], wdir: str) -> dict[str, Any]:
-        """Extract → write to a temp dir → atomic rename. Ray
-        write_parquet file names are unique per execution, so re-running
-        a crashed wave into the same dir would silently ADD rows
-        alongside the partial output of the failed attempt — stale
-        partial (or renamed-but-unmanifested) dirs are removed first;
-        the manifest, written last, is the only completion marker."""
+    def run_wave(wave_files: list[str], wdir: str) -> tuple[dict[str, Any], str]:
+        """Extract → write to a temp dir → atomic rename → (metrics,
+        digest) from the written files. Ray write_parquet file names
+        are unique per execution, so re-running a crashed wave into the
+        same dir would silently ADD rows alongside the partial output of
+        the failed attempt — stale partial (or renamed-but-unmanifested)
+        dirs are removed first; the manifest, written last, is the only
+        completion marker."""
         t0 = time.perf_counter()
         ds = extract_pages(latest(rd.read_parquet(wave_files)),
                            batch_size=batch_size)
@@ -639,17 +635,11 @@ def run_extract(
         else:
             ds.write_parquet(wtmp)
         os.replace(wtmp, wdir)
-        has_rows = any(
-            f.endswith(".parquet") or f.startswith("part_id=")
-            for f in os.listdir(wdir)
-        )
-        metrics = _wave_metrics(wdir) if has_rows else {
-            "rows": 0, "pdf_docs": 0, "html_docs": 0, "text_docs": 0,
-            "pages": 0, "parse_failures": 0, "fallbacks": 0}
+        metrics, digest = _written_wave(wdir)
         elapsed = time.perf_counter() - t0
         metrics["wall_sec"] = round(elapsed, 3)
         metrics["docs_per_sec"] = round(metrics["rows"] / elapsed, 2) if elapsed else 0.0
-        return metrics
+        return metrics, digest
 
     ran = 0
     for wave_idx, wave_files in enumerate(waves):
@@ -657,16 +647,15 @@ def run_extract(
             continue
         if fault_inject_after is not None and ran >= fault_inject_after:
             raise RuntimeError(f"fault injection: stopping before wave {wave_idx}")
-        metrics = run_wave(wave_files, mstate.wave_dir(out_dir, wave_idx))
+        metrics, digest = run_wave(wave_files, mstate.wave_dir(out_dir, wave_idx))
         payload: dict[str, Any] = {
             "wave": wave_idx,
             "input_files": [os.path.basename(f) for f in wave_files],
-            "input_sigs": [_file_sig(f) for f in wave_files],
+            "input_sigs": sigs[wave_idx],
             "metrics": metrics,
         }
         if dedup:
-            payload["survivor_digest"] = (wave_digests.get(wave_idx)
-                                          or wave_digest(wave_files))
+            payload["survivor_digest"] = digest
         mstate.write_manifest(out_dir, wave_idx, payload)
         ran += 1
     return mstate.summarize(out_dir)

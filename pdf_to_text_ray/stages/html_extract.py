@@ -39,6 +39,9 @@ _ATTR_RE = re.compile(
     r"""([^\s=/>]+)(?:\s*=\s*("[^"]*"|'[^']*'|[^\s>]*))?"""
 )
 _WS_COLLAPSE_RE = re.compile(r"[ \t\r\n\f\v\xa0]+")
+# str.split() whitespace that _WS_COLLAPSE_RE lacks; if absent, split/join matches it
+_SPLIT_ONLY_WS_RE = re.compile(
+    "[\x1c-\x1f\x85\u1680\u2000-\u200a\u2028\u2029\u202f\u205f\u3000]")
 _HWS_COLLAPSE_RE = re.compile(r"[ \t\f\v\xa0]+")  # horizontal only (<pre>)
 
 RAWTEXT_TAGS = {"script", "style", "textarea", "title", "xmp", "noscript", "template"}
@@ -221,6 +224,8 @@ def parse_html(src: str) -> Element:
 # ── block rendering & scoring ─────────────────────────────────────────
 
 def _collapse(s: str) -> str:
+    if _SPLIT_ONLY_WS_RE.search(s) is None:
+        return " ".join(s.split())
     return _WS_COLLAPSE_RE.sub(" ", s).strip()
 
 

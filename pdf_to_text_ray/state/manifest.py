@@ -13,6 +13,10 @@ Layout:
 
 Resume granularity: the wave manifest marks the whole wave done;
 ``files_per_wave=1`` makes the resume unit one input file.
+A manifest's ``metrics`` (counts, wall time, rate) and, under dedup,
+its ``survivor_digest`` (``"{xor:016x}:{rows}"`` over the surviving
+(url, warc_ts) pairs) come from one driver-side read of the wave's
+written parquet; a restart recomputes the digest from the input.
 """
 
 from __future__ import annotations
@@ -80,6 +84,8 @@ def summarize(out_dir: str) -> dict[str, Any]:
         for k, v in m.get("metrics", {}).items():
             if isinstance(v, (int, float)):
                 totals[k] = totals.get(k, 0) + v
+    if totals.get("wall_sec"):  # a rate does not sum over waves
+        totals["docs_per_sec"] = round(totals["rows"] / totals["wall_sec"], 2)
     return {
         "waves": len(manifests),
         "metrics": totals,

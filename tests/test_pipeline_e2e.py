@@ -20,6 +20,14 @@ def corpus():
     return make_pages_table(n_rows=120, seed=42)
 
 
+def _written(out_dir, wave_idx):
+    """Every file under a wave's output dir. Ray names written files
+    uniquely per execution, so a re-run wave shows new names."""
+    wdir = mstate.wave_dir(out_dir, wave_idx)
+    return sorted(os.path.relpath(os.path.join(d, f), wdir)
+                  for d, _, fs in os.walk(wdir) for f in fs)
+
+
 def test_e2e_byte_identity(ray_session, corpus):
     import ray.data as rd
 
@@ -79,20 +87,14 @@ def test_wave_resume(ray_session, tmp_path, corpus):
     with pytest.raises(RuntimeError, match="fault injection"):
         run_extract(in_dir, out_dir, files_per_wave=1, fault_inject_after=2)
     assert mstate.completed_waves(out_dir) == {0, 1}
-
-    def written(wave_idx):
-        return sorted(os.listdir(mstate.wave_dir(out_dir, wave_idx)))
-
-    # Ray names written files uniquely per execution, so a re-run wave
-    # would show new file names
-    before = {w: written(w) for w in (0, 1)}
+    before = {w: _written(out_dir, w) for w in (0, 1)}
     assert all(before.values())
 
     # restart completes only the remaining waves
     summary = run_extract(in_dir, out_dir, files_per_wave=1)
     assert mstate.completed_waves(out_dir) == {0, 1, 2, 3}
     assert summary["waves"] == 4
-    assert {w: written(w) for w in (0, 1)} == before
+    assert {w: _written(out_dir, w) for w in (0, 1)} == before
 
     # output urls exactly equal golden urls (no dups, no gaps)
     import ray.data as rd
@@ -102,8 +104,72 @@ def test_wave_resume(ray_session, tmp_path, corpus):
     )
     assert out_urls == sorted(golden["url"].to_pylist())
     # manifests metrics sum consistently
-    assert summary["metrics"]["rows"] == len(out_urls)
-    assert summary["metrics"]["parse_failures"] == 0
+    metrics = summary["metrics"]
+    assert metrics["rows"] == len(out_urls)
+    assert metrics["parse_failures"] == 0
+    # the run's rate is total rows over total wave time, not a sum of
+    # the four waves' rates
+    assert metrics["docs_per_sec"] == round(
+        metrics["rows"] / metrics["wall_sec"], 2)
+
+
+def test_fresh_wave_is_one_execution(ray_session, tmp_path, corpus,
+                                     monkeypatch):
+    """A fresh one-wave run reads parquet through Ray twice: the winners
+    scan and the wave itself. Metrics and the survivor digest come from
+    the written files, not from further Ray reads."""
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    pages, golden = corpus
+    in_dir = str(tmp_path / "in")
+    out_dir = str(tmp_path / "out")
+    os.makedirs(in_dir)
+    pq.write_table(pages, os.path.join(in_dir, "part-0.parquet"))
+    calls = []
+    real = rd.read_parquet
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("columns"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(rd, "read_parquet", counting)
+    summary = run_extract(in_dir, out_dir, files_per_wave=1)
+    assert calls == [["url", "warc_ts"], None]
+    assert summary["metrics"]["rows"] == golden.num_rows
+    m = mstate.load_manifests(out_dir)[0]
+    assert m["survivor_digest"].endswith(f":{golden.num_rows}")
+
+
+def test_input_replaced_during_its_wave_reruns(ray_session, tmp_path,
+                                               corpus, monkeypatch):
+    """The manifest records the input signatures taken BEFORE the wave
+    read its files: a file replaced while its wave runs must not vouch
+    for output built from its old content, so the restart re-runs it."""
+    import pyarrow.parquet as pq
+
+    from pdf_to_text_ray.pipelines import extract
+
+    pages, _ = corpus
+    in_dir = str(tmp_path / "in")
+    out_dir = str(tmp_path / "out")
+    os.makedirs(in_dir)
+    path = os.path.join(in_dir, "part-0.parquet")
+    pq.write_table(pages, path)
+    real = extract.extract_pages
+
+    def touching(ds, **kwargs):
+        st = os.stat(path)
+        os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
+        return real(ds, **kwargs)
+
+    monkeypatch.setattr(extract, "extract_pages", touching)
+    run_extract(in_dir, out_dir, files_per_wave=1)
+    monkeypatch.undo()
+    before = _written(out_dir, 0)
+    assert before
+    run_extract(in_dir, out_dir, files_per_wave=1)
+    assert not set(_written(out_dir, 0)) & set(before)
 
 
 def test_oversized_row_among_small(ray_session):
@@ -206,6 +272,11 @@ def test_partitioned_wave_output(ray_session, tmp_path, corpus):
     assert len(parts) >= 4  # hash partitioning spread urls over dirs
     urls = sorted(rd.read_parquet(wave0).to_pandas()["url"])
     assert urls == sorted(golden["url"].to_pylist())
+    # the digest read back through the hive layout matches the
+    # input-side scan, so a restart rewrites nothing
+    before = _written(out_dir, 0)
+    run_extract(in_dir, out_dir, files_per_wave=1, partition_output=8)
+    assert _written(out_dir, 0) == before
 
 
 def test_cross_wave_dedup(ray_session, tmp_path):
@@ -243,6 +314,16 @@ def test_cross_wave_dedup(ray_session, tmp_path):
     out = rd.read_parquet(out_dir).to_pandas()
     assert len(out) == 1                      # stale row never extracted
     assert out.iloc[0]["text_extracted"] == new_exp
+    # wave 0 is fully deduped: it writes no file, records zero rows and
+    # the empty digest, and a restart skips it
+    m0 = mstate.load_manifests(out_dir)[0]
+    assert m0["metrics"]["rows"] == 0
+    assert m0["survivor_digest"] == "0000000000000000:0"
+    path = mstate.manifest_path(out_dir, 0)
+    st = os.stat(path)
+    run_extract(in_dir, out_dir, files_per_wave=1)
+    again = os.stat(path)
+    assert (again.st_ino, again.st_mtime_ns) == (st.st_ino, st.st_mtime_ns)
 
 
 def test_midwave_crash_no_duplicate_rows(ray_session, tmp_path, corpus):
@@ -309,6 +390,11 @@ def test_bucketed_winners_matches_broadcast(ray_session, tmp_path, corpus):
 
     pd.testing.assert_frame_equal(a, b)
     assert sorted(a["url"]) == sorted(golden["url"].to_pylist())
+    # unchanged inputs: the bucketed resume digest matches the written
+    # one, so a restart rewrites nothing
+    before = _written(out_k, 0)
+    run_extract(in_dir, out_k, files_per_wave=1, winners_mode="bucketed")
+    assert _written(out_k, 0) == before
 
 
 def test_sorted_output_rows_globally_ordered(ray_session, tmp_path, corpus):
