@@ -4185,7 +4185,7 @@ def label_centroids(sf_dir: str):
     parts = (ds.map_batches(partial, batch_format="pyarrow")
              .to_pandas()
              .groupby(["label", "idx"], as_index=False)[["s", "n"]].sum())
-    parts["centroid"] = np.round(parts["s"] / parts["n"], 6)
+    parts["centroid"] = round6(parts["s"] / parts["n"])
     return (parts[["label", "idx", "centroid"]]
             .sort_values(["label", "idx"]).reset_index(drop=True))
 
@@ -7121,7 +7121,7 @@ def doc_graph_pagerank(sf_dir: str):
     from ..stages.graph import pagerank
 
     ranks = pagerank(_doc_cite_edges(sf_dir), iters=5)
-    ranks["rank"] = np.round(ranks["rank"].to_numpy(), 6)
+    ranks["rank"] = round6(ranks["rank"].to_numpy())
     return ranks.sort_values("node").reset_index(drop=True)
 
 
@@ -7163,8 +7163,8 @@ def doc_graph_hits(sf_dir: str):
     from ..stages.graph import hits
 
     scores = hits(_doc_cite_edges(sf_dir), iters=5)
-    scores["hub"] = np.round(scores["hub"].to_numpy(), 6)
-    scores["authority"] = np.round(scores["authority"].to_numpy(), 6)
+    scores["hub"] = round6(scores["hub"].to_numpy())
+    scores["authority"] = round6(scores["authority"].to_numpy())
     return scores.sort_values("node").reset_index(drop=True)
 
 
@@ -7383,7 +7383,7 @@ def source_token_entropy(sf_dir: str):
         "source": g.index.to_numpy(),
         "vocab": g["vocab"].to_numpy(dtype=np.int64),
         "n_tokens": g["n_tokens"].to_numpy(dtype=np.int64),
-        "entropy": np.round(-g["h"].to_numpy(), 6)})
+        "entropy": round6(-g["h"].to_numpy())})
     return out.sort_values("source").reset_index(drop=True)
 
 
@@ -7519,7 +7519,7 @@ def embedding_pca_project(sf_dir: str, k: int = 2):
            .to_pandas().sort_values("vec_id").reset_index(drop=True))
     out["vec_id"] = out["vec_id"].astype("int64")
     for j in range(k):
-        out[f"pc{j + 1}"] = out[f"pc{j + 1}"].round(6)
+        out[f"pc{j + 1}"] = round6(out[f"pc{j + 1}"])
     return out
 
 
@@ -9642,8 +9642,8 @@ def event_type_trend(sf_dir: str):
     out = pd.DataFrame({
         "event_type": g["event_type"],
         "n": g["n"].astype("int64"),
-        "slope": slope.round(6),
-        "intercept": intercept.round(6),
+        "slope": round6(slope),
+        "intercept": round6(intercept),
     })
     return out.sort_values("event_type").reset_index(drop=True)
 
@@ -10428,7 +10428,7 @@ def nation_revenue_share(sf_dir: str):
     out = pd.DataFrame({
         "r_name": per_nat["r_name"], "n_name": per_nat["n_name"],
         "bal": round2(per_nat["bal"]),
-        "share": (per_nat["bal"] / tot).round(6),
+        "share": round6(per_nat["bal"] / tot),
     })
     return (out.sort_values(["r_name", "n_name"])
             .reset_index(drop=True))
@@ -10752,7 +10752,7 @@ def host_mirror_frame(docs, *, n_hosts: int = 7,
     inter["n_common"] = inter["n_common"].astype("int64")
     union = (inter["host_a"].map(sizes) + inter["host_b"].map(sizes)
              - inter["n_common"])
-    inter["jaccard"] = (inter["n_common"] / union).round(6)
+    inter["jaccard"] = round6(inter["n_common"] / union)
     return (inter.sort_values(["host_a", "host_b"])
             .reset_index(drop=True)), n_dropped
 
@@ -11336,7 +11336,7 @@ def event_value_autocorr(sf_dir: str):
         return pd.DataFrame({
             "event_type": g["event_type"],
             "n_pairs": g["n"].astype("int64"),
-            "autocorr_lag1": (num / den).round(6)})
+            "autocorr_lag1": round6(num / den)})
 
     out = (bucketed_group_apply(ev, "event_type", ac, num_buckets=8)
            .to_pandas())
@@ -11614,7 +11614,7 @@ def event_user_chisq(sf_dir: str):
     e = row @ col / o.sum()
     chi2 = float(((o - e) ** 2 / e).sum())
     dof = (o.shape[0] - 1) * (o.shape[1] - 1)
-    return pd.DataFrame({"chi2": [round(chi2, 6)],
+    return pd.DataFrame({"chi2": [round6(chi2)],
                          "dof": [np.int64(dof)]})
 
 
@@ -11755,9 +11755,9 @@ def events_key_skew_profile(sf_dir: str):
     entropy = float(-(p * np.log2(p)).sum())
     return pd.DataFrame({
         "n_keys": [np.int64(n)],
-        "gini": [round(float(gini), 6)],
-        "entropy_bits": [round(entropy, 6)],
-        "top_share": [round(float(x[-1] / tot), 6)]})
+        "gini": [round6(float(gini))],
+        "entropy_bits": [round6(entropy)],
+        "top_share": [round6(float(x[-1] / tot))]})
 
 
 KEY_SKEW_SQL = """
@@ -12331,7 +12331,7 @@ def event_value_auc(sf_dir: str):
     return pd.DataFrame({
         "n_pos": pd.Series([n_pos], dtype="int64"),
         "n_neg": pd.Series([n_neg], dtype="int64"),
-        "auc": [round(u2 / (2.0 * n_pos * n_neg), 6)]})
+        "auc": [round6(u2 / (2.0 * n_pos * n_neg))]})
 
 
 AUC_SQL = """
@@ -12408,7 +12408,7 @@ def event_value_cusum(sf_dir: str):
         res = res.merge(al, on="event_type", how="left")
         res["n_alarms"] = res["n_alarms"].fillna(0).astype("int64")
         res["n"] = res["n"].astype("int64")
-        res["max_cusum"] = res["max_cusum"].round(6)
+        res["max_cusum"] = round6(res["max_cusum"])
         # force datetime64 even when this bucket saw zero alarms, so
         # every bucket's Arrow schema unifies to timestamp (an all-NaN
         # float column would poison the exchange's type homogeneity)
@@ -12487,8 +12487,8 @@ def ab_test_value_welch(sf_dir: str):
         "event_type": types,
         "n_a": a["n"].astype("int64").to_numpy(),
         "n_b": b["n"].astype("int64").to_numpy(),
-        "mean_a": a["mean"].round(6).to_numpy(),
-        "mean_b": b["mean"].round(6).to_numpy(),
+        "mean_a": round6(a["mean"]),
+        "mean_b": round6(b["mean"]),
         "t_stat": t_stat.round(4).to_numpy(),
         "df_welch": df_w.round(2).to_numpy()})
 
@@ -12611,8 +12611,8 @@ def langid_agreement_kappa(sf_dir: str):
     pe = sab / (float(n) * n)
     return pd.DataFrame({
         "n_docs": pd.Series([n], dtype="int64"),
-        "po": [round(po, 6)], "pe": [round(pe, 6)],
-        "kappa": [round((po - pe) / (1.0 - pe), 6)]})
+        "po": [round6(po)], "pe": [round6(pe)],
+        "kappa": [round6((po - pe) / (1.0 - pe))]})
 
 
 KAPPA_SQL = f"""
@@ -13740,8 +13740,8 @@ def token_zipf_slope(sf_dir: str):
             slope = (sxy - sx * sy / n) / (sxx - sx * sx / n)
             intercept = (sy - slope * sx) / n
             rows.append({"source": src, "n_terms": int(len(c)),
-                         "zipf_slope": round(slope, 6),
-                         "zipf_intercept": round(intercept, 6)})
+                         "zipf_slope": round6(slope),
+                         "zipf_intercept": round6(intercept)})
         out = pd.DataFrame(rows)
         out["n_terms"] = out["n_terms"].astype("int64")
         return out
@@ -14623,9 +14623,9 @@ def poisson_bootstrap_value_ci(sf_dir: str):
     lo = float(means[order[2]])      # 3rd smallest of 100 → 2.5th pct
     hi = float(means[order[97]])     # 98th smallest → 97.5th pct
     return pd.DataFrame({"n": pd.Series([n], dtype="int64"),
-                         "mean_value": [round(total / n, 6)],
-                         "ci_lo": [round(lo, 6)],
-                         "ci_hi": [round(hi, 6)]})
+                         "mean_value": [round6(total / n)],
+                         "ci_lo": [round6(lo)],
+                         "ci_hi": [round6(hi)]})
 
 
 def _bootstrap_sql(B: int = BOOT_B) -> str:
@@ -14683,7 +14683,7 @@ def embedding_rp_project(sf_dir: str):
     def project(t: pa.Table) -> pa.Table:
         m = list_column_to_matrix(t["embedding"]).astype(np.float64)
         r = _rp_signs(m.shape[1])
-        y = np.round(m @ r / np.sqrt(float(RP_K)), 6)
+        y = round6(m @ r / np.sqrt(float(RP_K)))
         cols = {"vec_id": pc.cast(t["vec_id"], pa.int64()),
                 "label": pc.cast(t["label"], pa.int32())}
         for j in range(RP_K):
@@ -14910,8 +14910,8 @@ def doc_flesch_score(sf_dir: str):
             out["n_words"].append(w)
             out["n_sentences"].append(s)
             out["n_syllables"].append(y)
-            out["flesch"].append(round(
-                206.835 - 1.015 * (w / s) - 84.6 * (y / w), 6))
+            out["flesch"].append(round6(
+                206.835 - 1.015 * (w / s) - 84.6 * (y / w)))
         return pd.DataFrame({
             "doc_id": pd.Series(out["doc_id"], dtype="int64"),
             "n_words": pd.Series(out["n_words"], dtype="int64"),
@@ -14975,7 +14975,7 @@ def doc_char_entropy(sf_dir: str):
             p = counts / n
             out_id.append(int(did))
             out_n.append(n)
-            out_h.append(float(round(-np.sum(p * np.log2(p)), 6)))
+            out_h.append(float(round6(-np.sum(p * np.log2(p)))))
         return pa.table({
             "doc_id": pa.array(out_id, pa.int64()),
             "n_cp": pa.array(out_n, pa.int64()),
@@ -15034,9 +15034,9 @@ def value_benford_chisq(sf_dir: str):
         pb = math.log10(1.0 + 1.0 / d)
         exp = total * pb
         rows.append({"digit": d, "n": nd,
-                     "p_obs": round(nd / total, 6),
-                     "p_benford": round(pb, 6),
-                     "chisq_contrib": round((nd - exp) ** 2 / exp, 6)})
+                     "p_obs": round6(nd / total),
+                     "p_benford": round6(pb),
+                     "chisq_contrib": round6((nd - exp) ** 2 / exp)})
     out = pd.DataFrame(rows)
     out["digit"] = out["digit"].astype("int64")
     out["n"] = out["n"].astype("int64")
@@ -15158,7 +15158,7 @@ def events_selfjoin_size_f2(sf_dir: str):
     return pd.DataFrame({
         "true_f2": pd.Series([true_f2], dtype="int64"),
         "bucket_f2": pd.Series([bucket_f2], dtype="int64"),
-        "inflation": [round(bucket_f2 / true_f2, 6)]})
+        "inflation": [round6(bucket_f2 / true_f2)]})
 
 
 F2_SQL = f"""
@@ -15370,9 +15370,9 @@ def price_selectivity_eval(sf_dir: str):
                     if edges[k + 1] > edges[k] else 0.0)
             est = (k + frac) / SEL_BINS
         true = float(p.loc[x, "c"]) / float(p.loc[x, "n"])
-        rows.append({"x": x, "est_sel": round(est, 6),
-                     "true_sel": round(true, 6),
-                     "abs_err": round(abs(est - true), 6)})
+        rows.append({"x": x, "est_sel": round6(est),
+                     "true_sel": round6(true),
+                     "abs_err": round6(abs(est - true))})
     return pd.DataFrame(rows)
 
 
@@ -16121,7 +16121,7 @@ def retrieval_rbo(sf_dir: str):
         "p": [RBO_P],
         "depth": pd.Series([RBO_DEPTH], dtype="int64"),
         "overlap_at_depth": pd.Series([ov_d], dtype="int64"),
-        "rbo": [round(rbo, 6)]})
+        "rbo": [round6(rbo)]})
 
 
 RBO_SQL = f"""
@@ -16227,7 +16227,7 @@ def copurchase_assortativity(sf_dir: str):
     den = sxx / m - (sx / m) ** 2
     return pd.DataFrame({
         "n_edges": pd.Series([int(m // 2)], dtype="int64"),
-        "assortativity": [round(num / den, 6)]})
+        "assortativity": [round6(num / den)]})
 
 
 ASSORTATIVITY_SQL = """
@@ -16459,7 +16459,7 @@ def user_event_lorenz(sf_dir: str):
         idx = max(ceil(Fraction(str(p)) * u), 1)
         rows.append({"p": p,
                      "n_users": idx,
-                     "cum_share": round(int(cum[idx - 1]) / total, 6)})
+                     "cum_share": round6(int(cum[idx - 1]) / total)})
     out = pd.DataFrame(rows)
     out["n_users"] = out["n_users"].astype("int64")
     return out
@@ -16540,7 +16540,7 @@ def view_purchase_kaplan_meier(sf_dir: str):
             log_s += float(np.log(1.0 - d / n_risk))
         rows.append({"t_us": int(t), "n_risk": n_risk, "n_events": d,
                      "survival": 0.0 if dead
-                     else round(float(np.exp(log_s)), 6)})
+                     else round6(float(np.exp(log_s)))})
     out = pd.DataFrame(rows)
     out["t_us"] = out["t_us"].astype("int64")
     out["n_risk"] = out["n_risk"].astype("int64")
@@ -16634,8 +16634,8 @@ def cuped_variance_reduction(sf_dir: str):
     theta = cov / vx
     return pd.DataFrame({
         "n_users": pd.Series([int(n)], dtype="int64"),
-        "theta": [round(float(theta), 6)],
-        "var_reduction": [round(float(cov * cov / (vx * vy)), 6)]})
+        "theta": [round6(float(theta))],
+        "var_reduction": [round6(float(cov * cov / (vx * vy)))]})
 
 
 CUPED_SQL = """
@@ -16705,11 +16705,11 @@ def did_value_estimate(sf_dir: str):
     did = (mean[(1, 1)] - mean[(1, 0)]) - (mean[(0, 1)] - mean[(0, 0)])
     return pd.DataFrame({
         "n_events": pd.Series([int(p["n"].sum())], dtype="int64"),
-        "mean_t_pre": [round(mean[(1, 0)], 6)],
-        "mean_t_post": [round(mean[(1, 1)], 6)],
-        "mean_c_pre": [round(mean[(0, 0)], 6)],
-        "mean_c_post": [round(mean[(0, 1)], 6)],
-        "did": [round(did, 6)]})
+        "mean_t_pre": [round6(mean[(1, 0)])],
+        "mean_t_post": [round6(mean[(1, 1)])],
+        "mean_c_pre": [round6(mean[(0, 0)])],
+        "mean_c_post": [round6(mean[(0, 1)])],
+        "did": [round6(did)]})
 
 
 DID_SQL = """
@@ -16783,7 +16783,7 @@ def lineitem_theil_sen(sf_dir: str):
     return pd.DataFrame({
         "n_sample": pd.Series([len(x)], dtype="int64"),
         "n_slopes": pd.Series([n], dtype="int64"),
-        "theil_sen_slope": [round(med, 6)]})
+        "theil_sen_slope": [round6(med)]})
 
 
 THEIL_SEN_SQL = f"""
@@ -16825,8 +16825,8 @@ def source_hhi(sf_dir: str):
     hhi = float(np.sum(share * share))
     return pd.DataFrame({
         "n_sources": pd.Series([len(n)], dtype="int64"),
-        "hhi": [round(hhi, 6)],
-        "effective_sources": [round(1.0 / hhi, 6)]})
+        "hhi": [round6(hhi)],
+        "effective_sources": [round6(1.0 / hhi)]})
 
 
 HHI_SQL = """

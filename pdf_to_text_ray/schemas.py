@@ -26,7 +26,7 @@ DOC_TYPE_PDF = "pdf"
 DOC_TYPE_HTML = "html"
 DOC_TYPE_TEXT = "text"
 
-# Output of the extraction stage (PdfExtractor / HtmlExtractor / passthrough).
+# Output of the extraction stage (ExtractDispatch: PDF / HTML / passthrough).
 TEXT_SCHEMA = pa.schema(
     [
         ("url", pa.string()),

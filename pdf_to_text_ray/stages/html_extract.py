@@ -378,60 +378,3 @@ def extract_html_text(src: str) -> str:
     stats = _subtree_stats(root)
     target = select_main_content(root, stats) or root
     return "\n".join(render_blocks(target, stats))
-
-
-class HtmlExtractor:
-    """Actor-pool stage: ``map_batches(HtmlExtractor, concurrency=N)``.
-
-    Stateless in practice (tables are module constants), but shaped as a
-    callable class so heavier models (e.g. a learned boilerplate scorer)
-    can slot into ``__init__`` without changing the pipeline.
-    """
-
-    def __init__(self, payload_col: str = "html", out_col: str = "text_extracted"):
-        self.payload_col = payload_col
-        self.out_col = out_col
-
-    def __call__(self, batch):
-        import pyarrow as pa
-
-        from .charset import decode_payload
-        from .zerocopy import binary_views
-
-        payloads = binary_views(batch[self.payload_col])
-        gzips = (batch["is_gzip"].to_pylist()
-                 if "is_gzip" in batch.column_names
-                 else [False] * len(payloads))
-        https = (batch["is_http"].to_pylist()
-                 if "is_http" in batch.column_names
-                 else [False] * len(payloads))
-        dts = (batch["doc_type"].to_pylist()
-               if "doc_type" in batch.column_names
-               else [None] * len(payloads))
-        out, fail = [], []
-        for raw, gz, ht, dt in zip(payloads, gzips, https, dts):
-            hint = None
-            try:
-                if dt is not None and dt != "html":
-                    # routed batch containing non-HTML rows: pass
-                    # through empty rather than decoding binary as text
-                    out.append("")
-                    fail.append(False)
-                    continue
-                if gz and raw:
-                    import gzip as _gzip
-
-                    raw = _gzip.decompress(raw)
-                if ht and raw:
-                    from .sniff import http_charset, strip_http_envelope
-
-                    hint = http_charset(raw)
-                    raw = strip_http_envelope(raw)
-                src = decode_payload(raw, hint)
-                out.append(extract_html_text(src))
-                fail.append(False)
-            except Exception:
-                out.append("")
-                fail.append(True)
-        return batch.append_column(self.out_col, pa.array(out, pa.string())) \
-                    .append_column("parse_failure", pa.array(fail, pa.bool_()))

@@ -4,8 +4,11 @@ The reference delegates this to ``unpdf``/``pdfjs-dist``
 (src/main.ts:148-154, package.json:8-9); we implement the parser from
 public knowledge only (PDF 1.7 spec, ISO 32000-1):
 
-- object/lexer layer: header, literal/hex strings, names with #xx,
-  numbers, dicts, arrays, indirect references         (spec §7.3)
+- object layer: one token grammar (``_OBJ_RE``) and one object
+  parser (``parse_object_at``) for header, literal/hex strings, names
+  with #xx, numbers, dicts, arrays, indirect references (spec §7.3);
+  the xref, ObjStm and CMap readers and the content-stream
+  interpreter match the same grammar
 - cross-reference tables with /Prev chains            (spec §7.5.4)
 - cross-reference streams /Type/XRef incl. PNG
   predictors (/DecodeParms /Predictor 10-15)          (spec §7.5.8)
@@ -131,135 +134,71 @@ class Stream:
         return decode_stream(self.dict, raw, doc)
 
 
-# ── lexer ─────────────────────────────────────────────────────────────
+# ── tokenizer and object parser ───────────────────────────────────────
 
 _WS = b"\x00\t\n\f\r "
-_TOKEN_RE = re.compile(
-    rb"""[\x00\t\n\f\r ]+
-      |%[^\r\n]*
-      |(?P<dopen><<)
-      |(?P<dclose>>>)
-      |(?P<aopen>\[)
-      |(?P<aclose>\])
-      |(?P<name>/[^\x00\t\n\f\r ()<>\[\]{}/%]*)
-      |(?P<num>[+-]?(?:\d+\.\d*|\.\d+|\d+))
-      |(?P<hexstr><[0-9A-Fa-f\x00\t\n\f\r ]*>)
-      |(?P<strstart>\()
-      |(?P<brace>[{}])
-      |(?P<kw>[^\x00\t\n\f\r ()<>\[\]{}/%]+)
-      |(?P<stray>[<>)])
-    """,
-    re.VERBOSE,
-)
 _NAME_HEX_RE = re.compile(rb"#([0-9A-Fa-f]{2})")
 _HEX_CLEAN = re.compile(rb"[\x00\t\n\f\r ]")
+_ESCAPES = {0x6E: 10, 0x72: 13, 0x74: 9, 0x62: 8, 0x66: 12}
 
 
-class Token(NamedTuple):
-    kind: str  # num name str kw dopen dclose aopen aclose
-    value: Any
-
-
-class Lexer:
-    def __init__(self, data: bytes, pos: int = 0):
-        self.data = data
-        self.pos = pos
-        self._pending: list[Token] = []
-
-    def push_back(self, tok: Token) -> None:
-        self._pending.append(tok)
-
-    def _literal_string(self) -> bytes:
-        # self.pos is just past the opening '('
-        data = self.data
-        out = bytearray()
-        depth = 1
-        i = self.pos
-        n = len(data)
-        while i < n:
-            c = data[i]
-            if c == 0x5C:  # backslash
+def _literal_string(data: bytes, pos: int) -> tuple[bytes, int]:
+    """Decode a literal string whose opening '(' ends just before
+    ``pos`` → (value, end_pos): escapes, octal codes, line
+    continuations and balanced nested parentheses (spec §7.3.4.2)."""
+    out = bytearray()
+    depth = 1
+    i = pos
+    n = len(data)
+    while i < n:
+        c = data[i]
+        if c == 0x5C:  # backslash
+            i += 1
+            if i >= n:
+                break
+            e = data[i]
+            if e in b"nrtbf":
+                out.append(_ESCAPES[e])
                 i += 1
-                if i >= n:
-                    break
-                e = data[i]
-                if e in b"nrtbf":
-                    out.append({0x6E: 10, 0x72: 13, 0x74: 9, 0x62: 8, 0x66: 12}[e])
-                    i += 1
-                elif e in b"()\\":
-                    out.append(e)
-                    i += 1
-                elif 0x30 <= e <= 0x37:  # octal, 1-3 digits
-                    val = 0
-                    k = 0
-                    while k < 3 and i < n and 0x30 <= data[i] <= 0x37:
-                        val = val * 8 + (data[i] - 0x30)
-                        i += 1
-                        k += 1
-                    out.append(val & 0xFF)
-                elif e in b"\r\n":  # line continuation
-                    i += 1
-                    if e == 0x0D and i < n and data[i] == 0x0A:
-                        i += 1
-                else:
-                    out.append(e)
-                    i += 1
-            elif c == 0x28:  # (
-                depth += 1
-                out.append(c)
+            elif e in b"()\\":
+                out.append(e)
                 i += 1
-            elif c == 0x29:  # )
-                depth -= 1
-                if depth == 0:
+            elif 0x30 <= e <= 0x37:  # octal, 1-3 digits
+                val = 0
+                k = 0
+                while k < 3 and i < n and 0x30 <= data[i] <= 0x37:
+                    val = val * 8 + (data[i] - 0x30)
                     i += 1
-                    break
-                out.append(c)
+                    k += 1
+                out.append(val & 0xFF)
+            elif e in b"\r\n":  # line continuation
                 i += 1
+                if e == 0x0D and i < n and data[i] == 0x0A:
+                    i += 1
             else:
-                out.append(c)
+                out.append(e)
                 i += 1
-        self.pos = i
-        return bytes(out)
-
-    def next(self) -> Token | None:
-        if self._pending:
-            return self._pending.pop()
-        data = self.data
-        n = len(data)
-        while self.pos < n:
-            m = _TOKEN_RE.match(data, self.pos)
-            if m is None:
-                self.pos += 1  # unrecognized byte: skip (lenient)
-                continue
-            self.pos = m.end()
-            kind = m.lastgroup
-            if kind is None:  # whitespace / comment
-                continue
-            if kind == "num":
-                s = m.group("num")
-                if b"." in s:
-                    return Token("num", float(s))
-                return Token("num", int(s))
-            if kind == "name":
-                raw = m.group("name")[1:]
-                raw = _NAME_HEX_RE.sub(lambda g: bytes([int(g.group(1), 16)]), raw)
-                return Token("name", Name(raw.decode("latin-1")))
-            if kind == "strstart":
-                return Token("str", self._literal_string())
-            if kind == "hexstr":
-                h = _HEX_CLEAN.sub(b"", m.group("hexstr")[1:-1])
-                if len(h) % 2:
-                    h += b"0"
-                return Token("str", bytes.fromhex(h.decode("ascii")))
-            if kind == "kw":
-                return Token("kw", m.group("kw"))
-            if kind in ("dopen", "dclose", "aopen", "aclose"):
-                return Token(kind, None)
-            # brace / stray delimiter: skip leniently
-            continue
-        return None
+        elif c == 0x28:  # (
+            depth += 1
+            out.append(c)
+            i += 1
+        elif c == 0x29:  # )
+            depth -= 1
+            if depth == 0:
+                i += 1
+                break
+            out.append(c)
+            i += 1
+        else:
+            out.append(c)
+            i += 1
+    return bytes(out), i
 
 
+# The one PDF token grammar (spec §7.2), shared by the object parser,
+# the xref/ObjStm/CMap readers and the content-stream interpreter. It
+# matches at every position (the final ``.`` takes a stray byte), and
+# unnamed matches (whitespace, comments, stray bytes) carry no token.
 _OBJ_RE = re.compile(
     rb"""[\x00\t\n\f\r ]+
       |%[^\r\n]*
@@ -279,12 +218,30 @@ _OBJ_RE = re.compile(
 )
 
 
+def _next_token(data: bytes, pos: int):
+    """The first ``_OBJ_RE`` token match at or after ``pos``, or None
+    at the end of ``data``."""
+    n = len(data)
+    while pos < n:
+        m = _OBJ_RE.match(data, pos)
+        if m.lastgroup is not None:
+            return m
+        pos = m.end()
+    return None
+
+
+def _num(m) -> int | float:
+    s = m.group("num")
+    return float(s) if b"." in s else int(s)
+
+
 def parse_object_at(data: bytes, pos: int) -> tuple[Any, int]:
-    """Single-pass iterative parser for ONE object value starting at
-    ``pos`` → (value, end_pos). Same grammar as parse_value but with no
-    per-token allocation (the object layer was ~40% of PDF parse time).
-    Indirect refs: two ints followed by the ``R`` keyword collapse on
-    the fly."""
+    """Single-pass iterative parser for ONE object value (dict, array,
+    string, name, number, bool, null or indirect reference) starting at
+    ``pos`` → (value, end_pos), with no per-token allocation. Indirect
+    refs: two ints followed by the ``R`` keyword collapse on the fly.
+    Lenient on malformed input: a stray ``R`` is dropped, and a dict
+    key with no value or a non-name key is skipped."""
     n = len(data)
     # container stack: list → plain list; dict under construction → list
     # of alternating keys/values flattened at close
@@ -304,37 +261,22 @@ def parse_object_at(data: bytes, pos: int) -> tuple[Any, int]:
 
     while pos < n:
         m = _OBJ_RE.match(data, pos)
-        if m is None:
-            pos += 1
-            continue
         pos = m.end()
         kind = m.lastgroup
         if kind is None:
             continue
         if kind == "num":
-            s = m.group("num")
-            v = float(s) if b"." in s else int(s)
+            v = _num(m)
             if current_kind:
                 current.append(v)
-            else:
-                result_holder.append(v)
-                # a bare top-level number may be "num gen R" — keep going
-                save = pos
-                m2 = _OBJ_RE.match(data, pos)
-                while m2 is not None and m2.lastgroup is None:
-                    pos = m2.end()
-                    m2 = _OBJ_RE.match(data, pos)
-                if (m2 is not None and m2.lastgroup == "num"
-                        and b"." not in m2.group("num")):
-                    pos2 = m2.end()
-                    m3 = _OBJ_RE.match(data, pos2)
-                    while m3 is not None and m3.lastgroup is None:
-                        pos2 = m3.end()
-                        m3 = _OBJ_RE.match(data, pos2)
-                    if m3 is not None and m3.lastgroup == "kw" and m3.group("kw") == b"R":
-                        return Ref(int(s), int(m2.group("num"))), m3.end()
-                return result_holder[0], save
-            continue
+                continue
+            # a bare top-level integer may be "num gen R"
+            m2 = _next_token(data, pos) if isinstance(v, int) else None
+            if m2 is not None and m2.lastgroup == "num" and b"." not in m2.group("num"):
+                m3 = _next_token(data, m2.end())
+                if m3 is not None and m3.lastgroup == "kw" and m3.group("kw") == b"R":
+                    return Ref(v, int(m2.group("num"))), m3.end()
+            return v, pos
         if kind == "name":
             raw = m.group("name")[1:]
             if b"#" in raw:
@@ -347,9 +289,7 @@ def parse_object_at(data: bytes, pos: int) -> tuple[Any, int]:
                 return result_holder[0], pos
             continue
         if kind == "lstr":
-            lx = Lexer(data, pos)
-            v = lx._literal_string()
-            pos = lx.pos
+            v, pos = _literal_string(data, pos)
             if emit(v):
                 return result_holder[0], pos
             continue
@@ -439,61 +379,6 @@ def _collapse_refs(items: list) -> list:
             out.append(items[i])
             i += 1
     return out
-
-
-def parse_value(lx: Lexer, tok: Token | None = None) -> Any:
-    """Parse one PDF object value (dict/array/string/name/number/bool/
-    null/indirect-reference)."""
-    if tok is None:
-        tok = lx.next()
-    if tok is None:
-        raise PdfError("unexpected EOF")
-    if tok.kind == "num":
-        if isinstance(tok.value, int):
-            # possible "num gen R"
-            t2 = lx.next()
-            if t2 is not None and t2.kind == "num" and isinstance(t2.value, int):
-                t3 = lx.next()
-                if t3 is not None and t3.kind == "kw" and t3.value == b"R":
-                    return Ref(tok.value, t2.value)
-                if t3 is not None:
-                    lx.push_back(t3)
-                lx.push_back(t2)
-            elif t2 is not None:
-                lx.push_back(t2)
-        return tok.value
-    if tok.kind in ("str", "name"):
-        return tok.value
-    if tok.kind == "aopen":
-        out = []
-        while True:
-            t = lx.next()
-            if t is None:
-                raise PdfError("unterminated array")
-            if t.kind == "aclose":
-                return out
-            out.append(parse_value(lx, t))
-    if tok.kind == "dopen":
-        d: dict[str, Any] = {}
-        while True:
-            t = lx.next()
-            if t is None:
-                raise PdfError("unterminated dict")
-            if t.kind == "dclose":
-                return d
-            if t.kind != "name":
-                # lenient: skip a malformed key
-                continue
-            d[str(t.value)] = parse_value(lx)
-    if tok.kind == "kw":
-        if tok.value == b"true":
-            return True
-        if tok.value == b"false":
-            return False
-        if tok.value == b"null":
-            return None
-        raise PdfError(f"unexpected keyword {tok.value!r}")
-    raise PdfError(f"unexpected token {tok}")
 
 
 # ── stream filters ────────────────────────────────────────────────────
@@ -687,6 +572,21 @@ _XREF_ENT_RE = re.compile(rb"(\d{10})[ ]?(\d{5})[ ]?([nf])")
 _STARTXREF_RE = re.compile(rb"startxref[\x00\t\n\f\r ]+(\d+)")
 
 
+def _objstm_pairs(data: bytes, n: int) -> list[tuple]:
+    """The (object number, offset) pairs heading an object stream
+    (spec §7.5.7): up to ``n``, stopping at the first malformed pair."""
+    pairs = []
+    pos = 0
+    for _ in range(n):
+        m1 = _next_token(data, pos)
+        m2 = _next_token(data, m1.end()) if m1 is not None else None
+        if m2 is None or m1.lastgroup != "num" or m2.lastgroup != "num":
+            break
+        pairs.append((_num(m1), _num(m2)))
+        pos = m2.end()
+    return pairs
+
+
 class PdfDocument:
     def __init__(self, data: bytes):
         if data[:5] != b"%PDF-":
@@ -789,13 +689,12 @@ class PdfDocument:
 
     def _load_xref_table(self, pos: int) -> int | None:
         data = self.data
-        lx = Lexer(data, pos)
         while True:
-            tok = lx.next()
-            if tok is None:
+            m = _next_token(data, pos)
+            if m is None:
                 raise PdfError("truncated xref table")
-            if tok.kind == "kw" and tok.value == b"trailer":
-                trailer = parse_value(lx)
+            if m.lastgroup == "kw" and m.group("kw") == b"trailer":
+                trailer = parse_object_at(data, m.end())[0]
                 if not isinstance(trailer, dict):
                     raise PdfError("bad trailer")
                 for k, v in trailer.items():
@@ -815,27 +714,28 @@ class PdfDocument:
                         pass  # degrade to the table view of the file
                 prev = trailer.get("Prev")
                 return int(prev) if prev is not None else None
-            if tok.kind != "num":
+            if m.lastgroup != "num":
                 raise PdfError("bad xref section header")
-            start = tok.value
-            tok2 = lx.next()
-            if tok2 is None or tok2.kind != "num":
+            start = _num(m)
+            m = _next_token(data, m.end())
+            if m is None or m.lastgroup != "num":
                 raise PdfError("bad xref section count")
-            count = tok2.value
+            count = _num(m)
+            pos = m.end()
             # entries are fixed-width; parse them directly
-            while lx.pos < len(data) and data[lx.pos] in _WS:
-                lx.pos += 1
+            while pos < len(data) and data[pos] in _WS:
+                pos += 1
             for k in range(count):
-                m = _XREF_ENT_RE.match(data, lx.pos)
+                m = _XREF_ENT_RE.match(data, pos)
                 if not m:
                     raise PdfError("bad xref entry")
                 off, gen, typ = int(m.group(1)), int(m.group(2)), m.group(3)
                 num = start + k
                 if typ == b"n" and num not in self.xref:
                     self.xref[num] = ("i", off)
-                lx.pos = m.end()
-                while lx.pos < len(data) and data[lx.pos] in _WS:
-                    lx.pos += 1
+                pos = m.end()
+                while pos < len(data) and data[pos] in _WS:
+                    pos += 1
 
     def _load_xref_stream(self, pos: int) -> int | None:
         obj = self._parse_indirect_at(pos, resolve_length=False)
@@ -908,14 +808,9 @@ class PdfDocument:
                 try:
                     data = obj.data()
                     n = int(self.resolve(obj.dict["N"]))
-                    lx = Lexer(data, 0)
-                    for idx in range(n):
-                        t1, t2 = lx.next(), lx.next()
-                        if (t1 is None or t2 is None or t1.kind != "num"
-                                or t2.kind != "num"):
-                            break
-                        if t1.value not in self.xref:
-                            self.xref[t1.value] = ("s", num, idx)
+                    for idx, (onum, _) in enumerate(_objstm_pairs(data, n)):
+                        if onum not in self.xref:
+                            self.xref[onum] = ("s", num, idx)
                 except PdfError:
                     continue
         # find the catalog: intact trailer /Root, else xref-stream /Root,
@@ -925,8 +820,7 @@ class PdfDocument:
             t = self.data.rfind(b"trailer")
             if t != -1:
                 try:
-                    lx = Lexer(self.data, t + 7)
-                    trailer = parse_value(lx)
+                    trailer = parse_object_at(self.data, t + 7)[0]
                     if isinstance(trailer, dict) and "Root" in trailer:
                         self.trailer.update(trailer)
                         root_ref = trailer["Root"]
@@ -1023,14 +917,9 @@ class PdfDocument:
         data = stm.data()
         n = int(self.resolve(stm.dict["N"]))
         first = int(self.resolve(stm.dict["First"]))
-        lx = Lexer(data, 0)
-        pairs = []
-        for _ in range(n):
-            t1 = lx.next()
-            t2 = lx.next()
-            if t1 is None or t2 is None or t1.kind != "num" or t2.kind != "num":
-                raise PdfError("bad ObjStm header")
-            pairs.append((t1.value, t2.value))
+        pairs = _objstm_pairs(data, n)
+        if len(pairs) < n:
+            raise PdfError("bad ObjStm header")
         if idx >= len(pairs):
             raise PdfError("ObjStm index out of range")
         off = first + pairs[idx][1]
@@ -1320,38 +1209,39 @@ def parse_tounicode_cmap(data: bytes) -> dict[int, str]:
         for src, dst in zip(hexes[0::2], hexes[1::2]):
             out[int(src, 16)] = _hex_to_unicode(dst)
     for seg in _BFRANGE_RE.findall(data):
-        # two forms: <lo> <hi> <dst>  |  <lo> <hi> [<d0> <d1> ...]
-        lx = Lexer(seg)
-        vals = []
-        while True:
-            t = lx.next()
-            if t is None:
-                break
-            vals.append(t)
+        # two forms: <lo> <hi> <dst>  |  <lo> <hi> [<d0> <d1> ...];
+        # a string token becomes its bytes, any other token its kind
+        vals: list = []
+        m = _next_token(seg, 0)
+        while m is not None:
+            if m.lastgroup in ("sstr", "lstr", "hexstr"):
+                v, end = parse_object_at(seg, m.start())
+                vals.append(v)
+            else:
+                vals.append(m.lastgroup)
+                end = m.end()
+            m = _next_token(seg, end)
         i = 0
         while i + 2 < len(vals):
-            lo_t, hi_t = vals[i], vals[i + 1]
-            if lo_t.kind != "str" or hi_t.kind != "str":
+            lo_b, hi_b, nxt = vals[i : i + 3]
+            if not isinstance(lo_b, bytes) or not isinstance(hi_b, bytes):
                 i += 1
                 continue
-            lo = int.from_bytes(lo_t.value, "big")
-            hi = int.from_bytes(hi_t.value, "big")
-            nxt = vals[i + 2]
-            if nxt.kind == "str":
-                base = nxt.value
-                base_cp = int.from_bytes(base, "big")
-                width = len(base)
+            lo = int.from_bytes(lo_b, "big")
+            hi = int.from_bytes(hi_b, "big")
+            if isinstance(nxt, bytes):
+                base_cp = int.from_bytes(nxt, "big")
+                width = len(nxt)
                 for k in range(hi - lo + 1):
                     out[lo + k] = _hex_to_unicode(
                         f"{base_cp + k:0{width * 2}x}".encode())
                 i += 3
-            elif nxt.kind == "aopen":
+            elif nxt == "aopen":
                 j = i + 3
                 k = 0
-                while j < len(vals) and vals[j].kind != "aclose":
-                    if vals[j].kind == "str":
-                        out[lo + k] = _hex_to_unicode(
-                            vals[j].value.hex().encode())
+                while j < len(vals) and vals[j] != "aclose":
+                    if isinstance(vals[j], bytes):
+                        out[lo + k] = _hex_to_unicode(vals[j].hex().encode())
                         k += 1
                     j += 1
                 i = j + 1
@@ -1833,28 +1723,6 @@ def _translate(tx, ty, m):
     return (a, b, c, d, tx * a + ty * c + e, tx * b + ty * d + f)
 
 
-# specialized content-stream tokenizer: one regex pass, no Token
-# allocation, no pushback — the generic object Lexer cost ~2/3 of PDF
-# parse time (247k Token objects per 150 docs profiled)
-_CT_RE = re.compile(
-    rb"""[\x00\t\n\f\r ]+
-      |%[^\r\n]*
-      |(?P<num>[+-]?(?:\d+\.\d*|\.\d+|\d+))
-      |(?P<name>/[^\x00\t\n\f\r ()<>\[\]{}/%]*)
-      |(?P<sstr>\((?:[^()\\]*)\))
-      |(?P<lstr>\()
-      |(?P<hexstr><[0-9A-Fa-f\x00\t\n\f\r ]*>)
-      |(?P<aopen>\[)
-      |(?P<aclose>\])
-      |(?P<dopen><<)
-      |(?P<dclose>>>)
-      |(?P<kw>[^\x00\t\n\f\r ()<>\[\]{}/%]+)
-      |.
-    """,
-    re.VERBOSE | re.DOTALL,
-)
-
-
 def interpret_content(content: bytes, fonts: dict | None = None,
                       xobjects: dict | None = None, *,
                       ctm0: tuple = _ID, _depth: int = 0) -> list[Run]:
@@ -1929,10 +1797,7 @@ def interpret_content(content: bytes, fonts: dict | None = None,
     n = len(content)
     target: list[Any] = stack
     while pos < n:
-        m = _CT_RE.match(content, pos)
-        if m is None:
-            pos += 1
-            continue
+        m = _OBJ_RE.match(content, pos)
         pos = m.end()
         kind = m.lastgroup
         if kind is None:
@@ -1951,9 +1816,8 @@ def interpret_content(content: bytes, fonts: dict | None = None,
             target.append(m.group("sstr")[1:-1])
             continue
         if kind == "lstr":  # escaped/nested literal string: slow path
-            lx = Lexer(content, pos)
-            target.append(lx._literal_string())
-            pos = lx.pos
+            v, pos = _literal_string(content, pos)
+            target.append(v)
             continue
         if kind == "name":
             target.append(Name(m.group("name")[1:].decode("latin-1")))
@@ -2089,7 +1953,7 @@ class PdfResult(NamedTuple):
 def extract_pdf_text(data: bytes) -> PdfResult:
     """bytes → (text, n_pages, fallback). Raises PdfError on failure.
     Accepts any bytes-like input (the dispatch stage hands zero-copy
-    Arrow memoryviews); the lexer needs an owned contiguous buffer, so
+    Arrow memoryviews); the tokenizer needs an owned contiguous buffer, so
     the one payload copy on the whole extract path happens here."""
     if not isinstance(data, (bytes, bytearray)):
         data = bytes(data)
@@ -2101,44 +1965,3 @@ def extract_pdf_text(data: bytes) -> PdfResult:
         for p in pages
     ]
     return PdfResult(document_text(page_runs), len(pages), doc.fallback)
-
-
-class PdfExtractor:
-    """Actor-pool stage: ``map_batches(PdfExtractor, concurrency=(a,b),
-    batch_format="pyarrow", batch_size=small)``.
-
-    Parser tables (regexes, operator dispatch) are module-level — built
-    once per worker process; the class exists so per-actor state (e.g.
-    font caches) has a home and so the pipeline reserves CPUs for this
-    CPU-bound stage explicitly.
-    """
-
-    def __init__(self, payload_col: str = "html", out_col: str = "text_extracted"):
-        self.payload_col = payload_col
-        self.out_col = out_col
-
-    def __call__(self, batch):
-        import pyarrow as pa
-
-        from .zerocopy import binary_views
-
-        payloads = binary_views(batch[self.payload_col])
-        texts, n_pages, fail, fb = [], [], [], []
-        for raw in payloads:
-            try:
-                r = extract_pdf_text(raw)
-                texts.append(r.text)
-                n_pages.append(r.n_pages)
-                fail.append(False)
-                fb.append(r.fallback)
-            except Exception:
-                texts.append("")
-                n_pages.append(0)
-                fail.append(True)
-                fb.append(False)
-        return (
-            batch.append_column(self.out_col, pa.array(texts, pa.string()))
-            .append_column("n_pages", pa.array(n_pages, pa.int32()))
-            .append_column("parse_failure", pa.array(fail, pa.bool_()))
-            .append_column("fallback", pa.array(fb, pa.bool_()))
-        )

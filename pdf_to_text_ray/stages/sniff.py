@@ -3,16 +3,14 @@
 Generalizes the reference's extension→MIME switch (src/main.ts:277-280)
 into the router the north rule requires: classify each row's payload
 bytes as PDF (``%PDF-`` magic prefix), HTML (doctype / common tag within
-the first 1 KiB), or plain text, and attach a ``doc_type`` column plus a
-``size_bucket`` (log2 of payload size) used for size-bucketed batching /
-oversized-row routing (SURVEY.md §4.2).
+the first 1 KiB), or plain text, and attach a ``doc_type`` column plus
+the ``is_gzip``/``is_http`` flags the dispatch stage unwraps by.
 """
 
 from __future__ import annotations
 
 import re
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -195,20 +193,16 @@ def sniff_doc_type(payload: bytes | None) -> tuple[str, bool, bool]:
 
 
 def sniff_batch(batch: pa.Table, payload_col: str = "html") -> pa.Table:
-    """Append doc_type + size_bucket. The per-row work touches only a
-    1 KiB prefix slice (cheap vs payload size); payload bytes stay
-    zero-copy in Arrow."""
+    """Append doc_type, is_gzip and is_http. The per-row work touches
+    only an 8 KiB prefix slice (cheap vs payload size); payload bytes
+    stay zero-copy in Arrow."""
     prefixes = pc.binary_slice(batch[payload_col], 0, 8192).to_pylist()
     sniffed = [sniff_doc_type(p) for p in prefixes]
     doc_type = pa.array([s_[0] for s_ in sniffed], pa.string())
     is_gzip = pa.array([s_[1] for s_ in sniffed], pa.bool_())
     is_http = pa.array([s_[2] for s_ in sniffed], pa.bool_())
-    sizes = pc.binary_length(batch[payload_col]).to_numpy(zero_copy_only=False)
-    sizes = np.where(np.isnan(sizes.astype("float64")), 0, sizes).astype("int64")
-    bucket = np.where(sizes > 0, np.log2(np.maximum(sizes, 1)).astype("int32"), 0)
     return (
         batch.append_column("doc_type", doc_type)
         .append_column("is_gzip", is_gzip)
         .append_column("is_http", is_http)
-        .append_column("size_bucket", pa.array(bucket.astype("int32"), pa.int32()))
     )

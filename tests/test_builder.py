@@ -164,3 +164,84 @@ def test_empty_partition_bundles_adopt_declared_schema(ray_session):
                 if "different schema" in r.getMessage()]
     finally:
         lg.removeHandler(cap)
+
+
+def _py_files(*roots):
+    """(path, top-level dir or file name) of each Python file under the
+    repo-relative ``roots``."""
+    import pathlib
+
+    base = pathlib.Path(__file__).resolve().parent.parent
+    for r in roots:
+        p = base / r
+        for f in (sorted(p.rglob("*.py")) if p.is_dir() else [p]):
+            yield f, r
+
+
+def test_no_unreferenced_top_level_definitions():
+    """Dead-code guard: every top-level function or class in the
+    package is referenced somewhere other than its own body, by a name,
+    an attribute, an import or an identifier-shaped string (tools and
+    benchmarks patch and look up names by string)."""
+    import ast
+
+    defs = []  # (file, name)
+    refs = set()  # (file, enclosing top-level def or None, name)
+    for path, root in _py_files("pdf_to_text_ray", "tests", "tools",
+                                "perfbench", "bench.py", "__ray_entry__.py"):
+        tree = ast.parse(path.read_text(), str(path))
+        in_pkg = root == "pdf_to_text_ray"
+        for top in tree.body:
+            owner = None
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                ast.ClassDef)):
+                owner = top.name
+                if in_pkg:
+                    defs.append((path, top.name))
+            for n in ast.walk(top):
+                if isinstance(n, ast.Name):
+                    refs.add((path, owner, n.id))
+                elif isinstance(n, ast.Attribute):
+                    refs.add((path, owner, n.attr))
+                elif isinstance(n, ast.alias):
+                    refs.add((path, owner, n.name.rsplit(".", 1)[-1]))
+                elif (isinstance(n, ast.Constant) and isinstance(n.value, str)
+                      and n.value.isidentifier()):
+                    refs.add((path, owner, n.value))
+    used = {}
+    for path, owner, name in refs:
+        used.setdefault(name, set()).add((path, owner))
+    dead = sorted(name for path, name in defs
+                  if not used.get(name, set()) - {(path, name)})
+    assert not dead, f"unreferenced top-level definitions: {dead}"
+
+
+def test_queries_round_through_round6():
+    """One rounding policy: 6-digit roundings in queries.py go through
+    round6 (DuckDB's half-away-from-zero), never the half-to-even
+    builtin round, np.round or pandas .round."""
+    import ast
+
+    import pdf_to_text_ray.pipelines.queries as Q
+
+    def six(a):
+        return isinstance(a, ast.Constant) and a.value == 6
+
+    left = []
+    for n in ast.walk(ast.parse(open(Q.__file__).read())):
+        if not isinstance(n, ast.Call):
+            continue
+        f = n.func
+        if (isinstance(f, ast.Name) and f.id == "round"
+                and len(n.args) == 2 and six(n.args[1])):
+            left.append(n.lineno)
+        elif isinstance(f, ast.Attribute) and f.attr == "round" and (
+                (len(n.args) == 2 and six(n.args[1]))
+                or (len(n.args) == 1 and six(n.args[0]))):
+            left.append(n.lineno)
+    assert not left, f"6-digit roundings not through round6 at lines {left}"
+    # a binary tie: half-away-from-zero rounds up where the builtin
+    # rounds to even
+    assert Q.round6(0.0078125) == 0.007813
+    assert round(0.0078125, 6) == 0.007812
+    assert Q.round6(-0.0078125) == -0.007813

@@ -5,7 +5,6 @@ import pytest
 
 from pdf_to_text_ray.fixtures.pdfgen import make_pdf
 from pdf_to_text_ray.stages.pdf_extract import (
-    Lexer,
     Name,
     PdfDocument,
     PdfError,
@@ -15,14 +14,15 @@ from pdf_to_text_ray.stages.pdf_extract import (
     decode_stream,
     extract_pdf_text,
     interpret_content,
-    parse_value,
+    parse_object_at,
+    parse_tounicode_cmap,
 )
 
 
-# ── lexer / object layer ──────────────────────────────────────────────
+# ── object layer ──────────────────────────────────────────────────────
 
 def _parse(src: bytes):
-    return parse_value(Lexer(src))
+    return parse_object_at(src, 0)[0]
 
 
 def test_parse_basic_values():
@@ -58,6 +58,40 @@ def test_parse_containers_and_refs():
 
 def test_comments_skipped():
     assert _parse(b"% comment\n 7") == 7
+
+
+def test_parse_malformed_leniently():
+    # a stray R is dropped, and a dict key with no value is skipped
+    assert _parse(b"[1 R 2]") == [1, 2]
+    assert _parse(b"[1 0 R 0 R]") == [Ref(1, 0), 0]
+    assert _parse(b"<< /A >>") == {}
+    # only an integer pair before R makes a reference
+    assert _parse(b"1.5 0 R") == 1.5
+
+
+def test_tounicode_bfrange_forms():
+    cmap = (b"3 beginbfrange\n"
+            b"<41> <43> [<0061> <00620063> <D83DDE00>]\n"  # array form
+            b"<0044> <0045> <00E9>\n"                      # incrementing
+            b"<0050> <0051> <D83DDE00>\n"                  # surrogate pair
+            b"endbfrange\n")
+    assert parse_tounicode_cmap(cmap) == {
+        0x41: "a", 0x42: "bc", 0x43: "\U0001F600",
+        0x44: "\u00e9", 0x45: "\u00ea",
+        0x50: "\U0001F600", 0x51: "\U0001F601"}
+
+
+@pytest.mark.parametrize("trailer", [b"7", b"[ /Size 3 ]", b"(x)", b"/Root"])
+def test_table_trailer_not_a_dict_salvages(trailer):
+    """A table trailer that is not a dict fails the xref load, so the
+    salvage scan recovers the catalog and flags the fallback."""
+    rng = random.Random(3)
+    pdf, expected, _ = make_pdf(rng, n_pages=2, xref_style="table")
+    head, sep, tail = pdf.rpartition(b"trailer")
+    end = tail.index(b"startxref")
+    doc = sep + b"\n" + trailer + b"\n" + tail[end:]
+    r = extract_pdf_text(head + doc)
+    assert r.fallback and r.text == expected
 
 
 # ── filters ───────────────────────────────────────────────────────────

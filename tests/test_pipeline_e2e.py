@@ -366,7 +366,7 @@ def test_midwave_crash_no_duplicate_rows(ray_session, tmp_path, corpus):
 
 def test_bucketed_winners_matches_broadcast(ray_session, tmp_path, corpus):
     """The beyond-broadcast winners path (hash-bucketed winner parquet +
-    actor-pool probe) selects exactly the same rows as the broadcast
+    stateless tasks) selects exactly the same rows as the broadcast
     searchsorted semi-join."""
     import pyarrow.parquet as pq
     import ray.data as rd
@@ -395,6 +395,45 @@ def test_bucketed_winners_matches_broadcast(ray_session, tmp_path, corpus):
     before = _written(out_k, 0)
     run_extract(in_dir, out_k, files_per_wave=1, winners_mode="bucketed")
     assert _written(out_k, 0) == before
+
+
+def test_bucketed_winners_cli_on_two_cpus(ray_session, tmp_path, corpus):
+    """``--winners-mode bucketed`` finishes on a 2-CPU local session and
+    keeps the rows a broadcast run keeps. The probe runs as stateless
+    tasks; an actor pool sized apart from the cluster could hold every
+    CPU so that the read tasks feeding it never ran."""
+    import json
+    import signal
+    import subprocess
+    import sys
+
+    import pyarrow.parquet as pq
+
+    pages, _ = corpus
+    in_dir = str(tmp_path / "in")
+    os.makedirs(in_dir)
+    pq.write_table(pages, os.path.join(in_dir, "part-0.parquet"))
+    want = run_extract(in_dir, str(tmp_path / "out_broadcast"),
+                       files_per_wave=1)["metrics"]["rows"]
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pdf_to_text_ray.run", "--in-dir", in_dir,
+         "--out-dir", str(tmp_path / "out_bucketed"), "--cpus", "2",
+         "--winners-mode", "bucketed"],
+        cwd=root, env=dict(os.environ, PYTHONPATH=root),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)  # the CLI and its Ray session
+        proc.communicate()
+        pytest.fail("bucketed CLI run on 2 CPUs did not finish in 120 s")
+    assert proc.returncode == 0, err[-2000:]
+    summary = json.loads(
+        [ln for ln in out.splitlines() if ln.startswith("{")][-1])
+    assert summary["metrics"]["rows"] == want
 
 
 def test_sorted_output_rows_globally_ordered(ray_session, tmp_path, corpus):
