@@ -224,9 +224,9 @@ def compute_latest_winners(pages_paths):
     Per-batch partial max (vectorized pandas groupby) → tiny partials →
     final merge. Returned as two parallel numpy arrays SORTED BY URL so
     the semi-join probe is one ``np.searchsorted`` per batch (no Python
-    dict, no per-row probing). Winner arrays for ~10^8 urls fit a
-    broadcast; beyond that use ``compute_latest_winners_bucketed`` +
-    ``filter_latest_bucketed`` (same math, hash-partitioned)."""
+    dict, no per-row probing). The winner set materializes on the
+    driver and is broadcast once; ``filter_latest`` deserializes it
+    once per worker process."""
     import pandas as pd
     import ray
 
@@ -295,6 +295,8 @@ def _probe(urls, ts, burls, bts):
 
 
 def _winner_mask(b: pa.Table, urls: "Any", ts: "Any") -> pa.Array:
+    """Arrow mask of ``b``'s winner rows; perfbench's single-process
+    replay filters with it too."""
     return pa.array(_probe(urls, ts, *_keys(b)))
 
 
@@ -311,107 +313,6 @@ def filter_latest(ds, winners_ref):
         # arrow-native filter: the payload column never leaves Arrow
         # (a pandas filter here copied the full payload bytes per batch)
         return b.filter(_winner_mask(b, urls, ts))
-
-    return ds.map_batches(keep, batch_format="pyarrow")
-
-
-def compute_latest_winners_bucketed(pages_paths, winners_dir: str,
-                                    num_buckets: int = 64) -> str:
-    """Winner computation for url sets beyond the broadcast budget:
-    partial maxes (as above) → hash-bucket shuffle of the SMALL
-    (url, warc_ts) pairs → per-bucket final max → winner parquet
-    partitioned by bucket, written distributed (the full winner set
-    never materializes on any single node). Returns ``winners_dir``."""
-    import pandas as pd
-    import ray
-
-    import ray.data as rd
-    import shutil as _shutil
-
-    ncpu = int(ray.cluster_resources().get("CPU", 8))
-    proj = rd.read_parquet(pages_paths, columns=["url", "warc_ts"],
-                           override_num_blocks=max(2, ncpu))
-
-    def partial_max(t):
-        from ..stages.groups import arrow_out
-
-        b = t.to_pandas()
-        out = b.groupby("url", sort=False, as_index=False)["warc_ts"].max()
-        out["bucket"] = (
-            pd.util.hash_array(out["url"].to_numpy(dtype=object)) % num_buckets
-        ).astype("int64")
-        return arrow_out(out)
-
-    def bucket_max(t):
-        from ..stages.groups import arrow_out
-
-        g = t.to_pandas()
-        out = g.groupby("url", sort=False, as_index=False)["warc_ts"].max()
-        out["bucket"] = g["bucket"].iloc[0]
-        return arrow_out(out.sort_values("url", kind="stable"))
-
-    _shutil.rmtree(winners_dir, ignore_errors=True)
-    (
-        proj.map_batches(partial_max, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(bucket_max, batch_format="pyarrow")
-        .write_parquet(winners_dir, partition_cols=["bucket"])
-    )
-    return winners_dir
-
-
-# Per-worker-process LRU of bucketed winner arrays, keyed on (filter
-# token, bucket): like _cached_get, a stateless task loads each bucket
-# at most once per worker process. The token is fresh for every
-# filter_latest_bucketed call, so a rewritten winners dir (the next
-# run_extract into the same out_dir) is never served stale arrays.
-_BUCKET_CACHE: dict = {}
-_MAX_CACHED_BUCKETS = 16
-
-
-def _bucket_arrays(winners_dir: str, token: str, bucket: int):
-    import pyarrow.parquet as pq
-
-    key = (token, bucket)
-    if key in _BUCKET_CACHE:
-        # true LRU: refresh recency on hit (python dicts iterate in
-        # insertion order, so pop+reinsert moves to the back)
-        _BUCKET_CACHE[key] = _BUCKET_CACHE.pop(key)
-    else:
-        if len(_BUCKET_CACHE) >= _MAX_CACHED_BUCKETS:
-            _BUCKET_CACHE.pop(next(iter(_BUCKET_CACHE)))
-        path = os.path.join(winners_dir, f"bucket={bucket}")
-        # urls are unique within a bucket, so the sort needs no tiebreak
-        _BUCKET_CACHE[key] = _keys(
-            pq.read_table(path, columns=["url", "warc_ts"]).sort_by("url")
-        ) if os.path.isdir(path) else ((), ())
-    return _BUCKET_CACHE[key]
-
-
-def filter_latest_bucketed(ds, winners_dir: str, num_buckets: int = 64):
-    """Semi-join against bucketed winner parquet, run as stateless
-    tasks: each batch hashes its urls to buckets and probes only the
-    buckets present, each loaded at most once per worker process
-    (``_bucket_arrays``). Winner state lives in shared storage, not in
-    a broadcast — the ≥10^9-url path."""
-    import uuid
-
-    token = uuid.uuid4().hex
-
-    def keep(b: pa.Table) -> pa.Table:
-        import numpy as np
-        import pandas as pd
-
-        if b.num_rows == 0:
-            return b
-        burls, bts = _keys(b)
-        buckets = pd.util.hash_array(burls) % num_buckets
-        hit = np.zeros(len(burls), dtype=bool)
-        for bk in np.unique(buckets):
-            sel = buckets == bk
-            hit[sel] = _probe(*_bucket_arrays(winners_dir, token, int(bk)),
-                              burls[sel], bts[sel])
-        return b.filter(pa.array(hit))
 
     return ds.map_batches(keep, batch_format="pyarrow")
 
@@ -525,11 +426,14 @@ def run_extract(
     summary (state/manifest.summarize). ``files_per_wave=1`` makes the
     resume unit one input file, so a kill redoes only unfinished files.
 
-    ``winners_mode``: "broadcast" (default — winner arrays via ray.put,
-    right up to ~10^8 urls) or "bucketed" (winner parquet partitioned by
-    hash(url) bucket, probed by stateless tasks — the ≥10^9-url path;
-    the full winner set never materializes on one node)."""
+    Dedup is the broadcast semi-join: ``compute_latest_winners`` once on
+    the driver, ``filter_latest`` in every wave. ``winners_mode`` accepts
+    only its one value, "broadcast"."""
     import ray.data as rd
+
+    if winners_mode != "broadcast":
+        raise ValueError(f"unknown winners_mode {winners_mode!r}; "
+                         "the only dedup path is 'broadcast'")
 
     files = sorted(
         os.path.join(in_dir, f) for f in os.listdir(in_dir) if f.endswith(".parquet")
@@ -539,25 +443,18 @@ def run_extract(
     waves = [files[i : i + files_per_wave] for i in range(0, len(files), files_per_wave)]
     manifests = mstate.load_manifests(out_dir)
     winners_ref = None
-    winners_dir = None
     if dedup:
         # GLOBAL prededup: winners from a pruned (url, warc_ts) scan of
         # ALL input files (not per wave — a per-wave map would let
         # duplicate urls spanning wave boundaries survive). The scan
         # touches two small columns; the winner arrays broadcast once
         # and every wave's semi-join filter reuses them.
-        if winners_mode == "bucketed":
-            winners_dir = compute_latest_winners_bucketed(
-                files, os.path.join(out_dir, "_winners"))
-        else:
-            import ray
+        import ray
 
-            winners_ref = ray.put(compute_latest_winners(files))
+        winners_ref = ray.put(compute_latest_winners(files))
 
     def latest(ds):
         """The dedup semi-join (identity without dedup)."""
-        if winners_dir is not None:
-            return filter_latest_bucketed(ds, winners_dir)
         if winners_ref is not None:
             return filter_latest(ds, winners_ref)
         return ds

@@ -9,7 +9,10 @@ On a cluster:
 
 Owns the Ray session (guarded init — attaches to an existing cluster
 via RAY_ADDRESS, starts local otherwise). Resumable: re-running with
-the same --out-dir skips completed waves (state/manifest.py).
+the same --out-dir skips completed waves (state/manifest.py). Unless
+--no-dedup is given, each url keeps only its rows with the latest
+warc_ts, chosen before parsing by one broadcast semi-join over all
+input files.
 """
 
 from __future__ import annotations
@@ -30,10 +33,6 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--batch-size", type=int, default=DEFAULT_BATCH_SIZE)
     ap.add_argument("--cpus", type=int, default=None,
                     help="num_cpus for a local session (ignored on a cluster)")
-    ap.add_argument("--winners-mode", choices=["broadcast", "bucketed"],
-                    default="broadcast",
-                    help="dedup winner state: broadcast arrays (≲1e8 urls)"
-                         " or hash-bucketed parquet (beyond)")
     ap.add_argument("--partition-output", type=int, default=None,
                     help="partition wave output by hash(url) %% N")
     ap.add_argument("--sort-output", action="store_true",
@@ -56,7 +55,6 @@ def main(argv: list[str] | None = None) -> int:
             files_per_wave=args.files_per_wave,
             dedup=not args.no_dedup,
             batch_size=args.batch_size,
-            winners_mode=args.winners_mode,
             partition_output=args.partition_output,
             sort_output=args.sort_output,
         )

@@ -207,28 +207,18 @@ def _append_null_col(ds, out_col: str, dtype) -> "object":
     return ds.map_batches(add, batch_format="pyarrow")
 
 
-def ordered_prefix_sum(ds, *, order_col: str, value_col: str,
-                       out_col: str = "cum", num_buckets: int = 32,
-                       domain: tuple[int, int] | None = None):
-    """Distributed inclusive prefix sum of ``value_col`` in
-    ``order_col`` order — a SCAN, the one shape neither map_batches nor
-    groupby expresses alone (each row depends on every earlier row).
-
-    Classic two-level scan: range-bucket on ``order_col`` (so bucket i
-    holds only keys ordered before bucket i+1), per-bucket totals via a
-    tiny (bucket, sum) groupby, an exclusive prefix over the B totals
-    on the driver (B scalars, not rows), then one vectorized
-    sort+cumsum per bucket with its offset added. Rows shuffle once,
-    carrying only (order, value) plus carried columns.
-
-    ``order_col`` must be numeric with distinct values (ties would make
-    the scan order ambiguous). Skewed key ranges skew bucket sizes —
-    acceptable for dense ids; use quantile boundaries for heavy skew.
-    ``domain=(lo, hi)``: pass the order key's known inclusive range
-    (e.g. a hash prefix's full space) to skip the min/max aggregate
-    pass — one fewer sequential execution; the caller guarantees every
-    key falls inside it.
-    """
+def _two_level_scan(ds, *, order_col: str, value_col: str, out_col: str,
+                    num_buckets: int, domain, how: str, empty_dtype,
+                    offsets_of, scan):
+    """The classic two-level scan behind the ordered prefix ops:
+    range-bucket on ``order_col`` (so bucket i holds only keys ordered
+    before bucket i+1), per-bucket ``how`` ("sum" or "max") totals via a
+    tiny (bucket, total) groupby, ``offsets_of(totals)`` → each bucket's
+    carry-in on the driver (B scalars, not rows), then one vectorized
+    ``scan(rows, offsets)`` per bucket over its rows sorted by
+    ``order_col``. Rows shuffle once, carrying only (order, value) plus
+    carried columns. An empty input gets an all-null ``out_col`` of
+    ``empty_dtype(ds)``."""
     import ray
     from ray.data.aggregate import Max, Min, Sum
 
@@ -244,8 +234,7 @@ def ordered_prefix_sum(ds, *, order_col: str, value_col: str,
     if lo is None or hi is None:
         # empty input → empty scan, but the out_col must still exist so
         # downstream t[out_col] reads don't KeyError on zero-row blocks
-        return _append_null_col(ds, out_col,
-                                _cumsum_dtype(ds, value_col))
+        return _append_null_col(ds, out_col, empty_dtype(ds))
     span = max(int(hi) - int(lo) + 1, 1)
     nb = min(num_buckets, span)
 
@@ -259,26 +248,55 @@ def ordered_prefix_sum(ds, *, order_col: str, value_col: str,
     def bucket_partial(t: pa.Table) -> pa.Table:
         b = pd.DataFrame({
             "_rbucket": t["_rbucket"].to_numpy(zero_copy_only=False),
-            "s": t[value_col].to_numpy(zero_copy_only=False)})
+            "total": t[value_col].to_numpy(zero_copy_only=False)})
         return arrow_out(b.groupby("_rbucket", as_index=False)
-                         .agg(s=("s", "sum")))
+                         .agg(total=("total", how)))
 
+    agg = Sum if how == "sum" else Max
     totals = (withb.map_batches(bucket_partial, batch_format="pyarrow")
-              .groupby("_rbucket").aggregate(Sum("s", alias_name="s"))
+              .groupby("_rbucket").aggregate(agg("total", alias_name="total"))
               .to_pandas().sort_values("_rbucket"))
-    csum = totals["s"].cumsum().shift(fill_value=0)
-    offsets = dict(zip(totals["_rbucket"], csum))
-    off_ref = ray.put(offsets)
+    off_ref = ray.put(offsets_of(totals))
 
     def scan_bucket(t: pa.Table):
         g = t.to_pandas().sort_values(order_col)
-        base = ray.get(off_ref).get(g["_rbucket"].iloc[0], 0) \
-            if len(g) else 0
-        g[out_col] = g[value_col].cumsum() + base
+        g[out_col] = scan(g, ray.get(off_ref))
         return arrow_out(g.drop(columns=["_rbucket"]))
 
     return withb.groupby("_rbucket").map_groups(scan_bucket,
                                                 batch_format="pyarrow")
+
+
+def ordered_prefix_sum(ds, *, order_col: str, value_col: str,
+                       out_col: str = "cum", num_buckets: int = 32,
+                       domain: tuple[int, int] | None = None):
+    """Distributed inclusive prefix sum of ``value_col`` in
+    ``order_col`` order — a SCAN, the one shape neither map_batches nor
+    groupby expresses alone (each row depends on every earlier row).
+    ``_two_level_scan`` does it: an exclusive prefix over the B bucket
+    totals, then one sort+cumsum per bucket with its offset added.
+
+    ``order_col`` must be numeric with distinct values (ties would make
+    the scan order ambiguous). Skewed key ranges skew bucket sizes —
+    acceptable for dense ids; use quantile boundaries for heavy skew.
+    ``domain=(lo, hi)``: pass the order key's known inclusive range
+    (e.g. a hash prefix's full space) to skip the min/max aggregate
+    pass — one fewer sequential execution; the caller guarantees every
+    key falls inside it.
+    """
+    def offsets_of(totals):
+        csum = totals["total"].cumsum().shift(fill_value=0)
+        return dict(zip(totals["_rbucket"], csum))
+
+    def scan(g, offsets):
+        base = offsets.get(g["_rbucket"].iloc[0], 0) if len(g) else 0
+        return g[value_col].cumsum() + base
+
+    return _two_level_scan(
+        ds, order_col=order_col, value_col=value_col, out_col=out_col,
+        num_buckets=num_buckets, domain=domain, how="sum",
+        empty_dtype=lambda d: _cumsum_dtype(d, value_col),
+        offsets_of=offsets_of, scan=scan)
 
 
 def ordered_prefix_max(ds, *, order_col: str, value_col: str,
@@ -288,47 +306,17 @@ def ordered_prefix_max(ds, *, order_col: str, value_col: str,
     row i = max over STRICTLY earlier rows). Same two-level scan as
     ``ordered_prefix_sum``; max is associative so bucket totals
     compose the same way. Rows with no earlier row get NULL."""
-    import ray
-    from ray.data.aggregate import Max, Min
+    def offsets_of(totals):
+        # exclusive running max over the B bucket maxima (None before any)
+        offsets: dict = {}
+        running = None
+        for _, row in totals.iterrows():
+            offsets[int(row["_rbucket"])] = running
+            running = row["total"] if running is None else max(running, row["total"])
+        return offsets
 
-    ds = ds.materialize()  # consumed three times (see prefix_sum note)
-    mm = ds.aggregate(Min(order_col), Max(order_col))
-    lo, hi = mm[f"min({order_col})"], mm[f"max({order_col})"]
-    if lo is None or hi is None:
-        # schema parity with the non-empty path (exc scan is float64)
-        return _append_null_col(ds, out_col, pa.float64())
-    span = max(int(hi) - int(lo) + 1, 1)
-    nb = min(num_buckets, span)
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        v = t[order_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        b = (v - int(lo)) * nb // span
-        return _meta_free(t).append_column("_rbucket", pa.array(b, pa.int64()))
-
-    withb = ds.map_batches(add_bucket, batch_format="pyarrow")
-
-    def bucket_partial(t: pa.Table) -> pa.Table:
-        b = pd.DataFrame({
-            "_rbucket": t["_rbucket"].to_numpy(zero_copy_only=False),
-            "m": t[value_col].to_numpy(zero_copy_only=False)})
-        return arrow_out(b.groupby("_rbucket", as_index=False)
-                         .agg(m=("m", "max")))
-
-    totals = (withb.map_batches(bucket_partial, batch_format="pyarrow")
-              .groupby("_rbucket").aggregate(Max("m", alias_name="m"))
-              .to_pandas().sort_values("_rbucket"))
-    # exclusive running max over the B bucket maxima (None before any)
-    offsets: dict = {}
-    running = None
-    for _, row in totals.iterrows():
-        offsets[int(row["_rbucket"])] = running
-        running = row["m"] if running is None else max(running, row["m"])
-    off_ref = ray.put(offsets)
-
-    def scan_bucket(t: pa.Table):
-        g = t.to_pandas().sort_values(order_col)
-        base = ray.get(off_ref).get(int(g["_rbucket"].iloc[0])) \
-            if len(g) else None
+    def scan(g, offsets):
+        base = offsets.get(int(g["_rbucket"].iloc[0])) if len(g) else None
         v = g[value_col].to_numpy()
         # exclusive cummax: shift the inclusive cummax right by one
         inc = np.maximum.accumulate(v)
@@ -339,8 +327,10 @@ def ordered_prefix_max(ds, *, order_col: str, value_col: str,
         if base is not None:
             exc = np.where(np.isnan(exc), float(base),
                            np.maximum(exc, float(base)))
-        g[out_col] = exc
-        return arrow_out(g.drop(columns=["_rbucket"]))
+        return exc
 
-    return withb.groupby("_rbucket").map_groups(scan_bucket,
-                                                batch_format="pyarrow")
+    return _two_level_scan(
+        ds, order_col=order_col, value_col=value_col, out_col=out_col,
+        num_buckets=num_buckets, domain=None, how="max",
+        # schema parity with the non-empty path (exc scan is float64)
+        empty_dtype=lambda d: pa.float64(), offsets_of=offsets_of, scan=scan)

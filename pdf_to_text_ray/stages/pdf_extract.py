@@ -814,14 +814,17 @@ class PdfDocument:
                 except PdfError:
                     continue
         # find the catalog: intact trailer /Root, else xref-stream /Root,
-        # else scan every recovered object
-        root_ref = self.trailer.get("Root") or root_from_xrefstm
+        # else scan every recovered object. Only a Ref counts as a /Root:
+        # one of another kind is what failed the normal load
+        root_ref = next((r for r in (self.trailer.get("Root"), root_from_xrefstm)
+                         if isinstance(r, Ref)), None)
         if root_ref is None:
             t = self.data.rfind(b"trailer")
             if t != -1:
                 try:
                     trailer = parse_object_at(self.data, t + 7)[0]
-                    if isinstance(trailer, dict) and "Root" in trailer:
+                    if isinstance(trailer, dict) and isinstance(
+                            trailer.get("Root"), Ref):
                         self.trailer.update(trailer)
                         root_ref = trailer["Root"]
                 except PdfError:
@@ -1232,7 +1235,10 @@ def parse_tounicode_cmap(data: bytes) -> dict[int, str]:
             if isinstance(nxt, bytes):
                 base_cp = int.from_bytes(nxt, "big")
                 width = len(nxt)
-                for k in range(hi - lo + 1):
+                # at most 65,536 codes (as parse_cid_cmap), ending at the
+                # last destination that still fits the base's byte width
+                n = min(hi - lo, 65535, 256 ** width - 1 - base_cp) if width else -1
+                for k in range(n + 1):
                     out[lo + k] = _hex_to_unicode(
                         f"{base_cp + k:0{width * 2}x}".encode())
                 i += 3

@@ -81,10 +81,24 @@ def test_tounicode_bfrange_forms():
         0x50: "\U0001F600", 0x51: "\U0001F601"}
 
 
-@pytest.mark.parametrize("trailer", [b"7", b"[ /Size 3 ]", b"(x)", b"/Root"])
+def test_tounicode_bfrange_bounded():
+    """An incrementing bfrange maps at most 65,536 codes and stops at
+    the last destination that fits the base's byte width."""
+    wide = parse_tounicode_cmap(
+        b"1 beginbfrange\n<00000000> <0001ffff> <00000041>\nendbfrange\n")
+    assert len(wide) == 65536
+    assert parse_tounicode_cmap(
+        b"1 beginbfrange\n<0000> <00ff> <fff0>\nendbfrange\n") == {
+            k: chr(0xFFF0 + k) for k in range(16)}
+
+
+@pytest.mark.parametrize("trailer", [
+    b"7", b"[ /Size 3 ]", b"(x)", b"/Root",
+    b"<< /Root 7 >>", b"<< /Root (x) >>", b"<< /Size 40 /Root 1 0 /R >>"])
 def test_table_trailer_not_a_dict_salvages(trailer):
-    """A table trailer that is not a dict fails the xref load, so the
-    salvage scan recovers the catalog and flags the fallback."""
+    """A table trailer with no usable /Root (not a dict, or a /Root that
+    is not a reference) fails the normal load, so the salvage scan finds
+    the /Type /Catalog object and flags the fallback."""
     rng = random.Random(3)
     pdf, expected, _ = make_pdf(rng, n_pages=2, xref_style="table")
     head, sep, tail = pdf.rpartition(b"trailer")

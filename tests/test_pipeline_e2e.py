@@ -364,44 +364,11 @@ def test_midwave_crash_no_duplicate_rows(ray_session, tmp_path, corpus):
     assert out_urls == sorted(golden["url"].to_pylist())  # no dups/gaps
 
 
-def test_bucketed_winners_matches_broadcast(ray_session, tmp_path, corpus):
-    """The beyond-broadcast winners path (hash-bucketed winner parquet +
-    stateless tasks) selects exactly the same rows as the broadcast
-    searchsorted semi-join."""
-    import pyarrow.parquet as pq
-    import ray.data as rd
-
-    pages, golden = corpus
-    in_dir = str(tmp_path / "in")
-    os.makedirs(in_dir)
-    pq.write_table(pages, os.path.join(in_dir, "part-0.parquet"))
-
-    out_b = str(tmp_path / "out_broadcast")
-    out_k = str(tmp_path / "out_bucketed")
-    run_extract(in_dir, out_b, files_per_wave=1)
-    run_extract(in_dir, out_k, files_per_wave=1, winners_mode="bucketed")
-
-    cols = ["url", "warc_ts", "text_extracted"]
-    a = (rd.read_parquet(out_b, columns=cols).to_pandas()
-         .sort_values("url").reset_index(drop=True))
-    b = (rd.read_parquet(out_k, columns=cols).to_pandas()
-         .sort_values("url").reset_index(drop=True))
-    import pandas as pd
-
-    pd.testing.assert_frame_equal(a, b)
-    assert sorted(a["url"]) == sorted(golden["url"].to_pylist())
-    # unchanged inputs: the bucketed resume digest matches the written
-    # one, so a restart rewrites nothing
-    before = _written(out_k, 0)
-    run_extract(in_dir, out_k, files_per_wave=1, winners_mode="bucketed")
-    assert _written(out_k, 0) == before
-
-
-def test_bucketed_winners_cli_on_two_cpus(ray_session, tmp_path, corpus):
-    """``--winners-mode bucketed`` finishes on a 2-CPU local session and
-    keeps the rows a broadcast run keeps. The probe runs as stateless
-    tasks; an actor pool sized apart from the cluster could hold every
-    CPU so that the read tasks feeding it never ran."""
+def test_cli_on_two_cpus(ray_session, tmp_path, corpus):
+    """``python -m pdf_to_text_ray.run`` finishes on a 2-CPU local
+    session of its own and keeps the rows an in-process run keeps. A
+    stage whose workers are sized apart from the cluster could hold
+    every CPU so that the read tasks feeding it never ran."""
     import json
     import signal
     import subprocess
@@ -413,14 +380,13 @@ def test_bucketed_winners_cli_on_two_cpus(ray_session, tmp_path, corpus):
     in_dir = str(tmp_path / "in")
     os.makedirs(in_dir)
     pq.write_table(pages, os.path.join(in_dir, "part-0.parquet"))
-    want = run_extract(in_dir, str(tmp_path / "out_broadcast"),
+    want = run_extract(in_dir, str(tmp_path / "out_lib"),
                        files_per_wave=1)["metrics"]["rows"]
 
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     proc = subprocess.Popen(
         [sys.executable, "-m", "pdf_to_text_ray.run", "--in-dir", in_dir,
-         "--out-dir", str(tmp_path / "out_bucketed"), "--cpus", "2",
-         "--winners-mode", "bucketed"],
+         "--out-dir", str(tmp_path / "out_cli"), "--cpus", "2"],
         cwd=root, env=dict(os.environ, PYTHONPATH=root),
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         start_new_session=True)
@@ -429,11 +395,25 @@ def test_bucketed_winners_cli_on_two_cpus(ray_session, tmp_path, corpus):
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, signal.SIGKILL)  # the CLI and its Ray session
         proc.communicate()
-        pytest.fail("bucketed CLI run on 2 CPUs did not finish in 120 s")
+        pytest.fail("CLI run on 2 CPUs did not finish in 120 s")
     assert proc.returncode == 0, err[-2000:]
     summary = json.loads(
         [ln for ln in out.splitlines() if ln.startswith("{")][-1])
     assert summary["metrics"]["rows"] == want
+
+
+def test_one_dedup_path(tmp_path):
+    """Dedup has one path: ``run_extract`` names any winners_mode but
+    "broadcast" in its error, and the CLI has no option to pick one."""
+    from pdf_to_text_ray.run import main
+
+    with pytest.raises(ValueError, match="'bucketed'"):
+        run_extract(str(tmp_path), str(tmp_path / "out"),
+                    winners_mode="bucketed")
+    with pytest.raises(SystemExit) as exit_:
+        main(["--in-dir", str(tmp_path), "--out-dir", str(tmp_path / "out"),
+              "--winners-mode", "bucketed"])
+    assert exit_.value.code == 2
 
 
 def test_sorted_output_rows_globally_ordered(ray_session, tmp_path, corpus):
@@ -537,45 +517,6 @@ def test_incremental_append_newer_duplicate_demotes_old_winner(
     assert rows["warc_ts"].iloc[0] == tbl["warc_ts"][0].as_py()
     # no other url duplicated either
     assert out["url"].is_unique
-
-
-def test_incremental_demotion_bucketed_winners(ray_session, tmp_path,
-                                               corpus):
-    """The survivor-digest lineage check must also work in
-    winners_mode='bucketed' (the ≥10^9-url path): appending a newer
-    duplicate reruns the affected wave there too."""
-    import pandas as pd
-    import pyarrow.parquet as pq
-    import ray.data as rd
-
-    pages, golden = corpus
-    in_dir = str(tmp_path / "in")
-    out_dir = str(tmp_path / "out")
-    os.makedirs(in_dir)
-    n = pages.num_rows
-    for s in range(2):
-        lo = s * n // 2
-        pq.write_table(pages.slice(lo, (s + 1) * n // 2 - lo),
-                       os.path.join(in_dir, f"part-{s}.parquet"))
-    run_extract(in_dir, out_dir, files_per_wave=1,
-                winners_mode="bucketed")
-
-    dup = pages.slice(0, 1)
-    tbl = dup.set_column(
-        dup.schema.get_field_index("warc_ts"), "warc_ts",
-        pa.array([pd.Timestamp(max(pages["warc_ts"].to_pylist()))
-                  + pd.Timedelta(days=1)],
-                 type=dup.schema.field("warc_ts").type))
-    pq.write_table(tbl, os.path.join(in_dir, "part-zzz.parquet"))
-
-    run_extract(in_dir, out_dir, files_per_wave=1,
-                winners_mode="bucketed")
-    out = rd.read_parquet(
-        out_dir, columns=["url", "warc_ts"]).to_pandas()
-    url = dup["url"][0].as_py()
-    rows = out[out["url"] == url]
-    assert len(rows) == 1 and out["url"].is_unique
-    assert rows["warc_ts"].iloc[0] == tbl["warc_ts"][0].as_py()
 
 
 def test_repointed_in_dir_same_basenames_reruns(ray_session, tmp_path):
