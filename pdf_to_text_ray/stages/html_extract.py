@@ -5,11 +5,13 @@ north rule adds HTML boilerplate stripping as the sibling extraction path
 for Common-Crawl-style inputs. This module implements it from scratch —
 no html.parser, no bs4/lxml — as:
 
-1. a tokenizer (data / tag / comment / doctype / rawtext states, entity
-   decoding via the public stdlib ``html.unescape`` entity table),
-2. a forgiving tree builder (void elements, implicit closes, unmatched
-   end tags ignored, stray ``<`` treated as text),
-3. a readability-style candidate scorer: for each candidate container,
+1. one pass over the source that tokenizes and builds the tree at once
+   (``parse_html``): data / tag / comment / doctype / rawtext states,
+   entity decoding via the public stdlib ``html.unescape`` entity
+   table, and a forgiving tree (void elements, implicit closes,
+   unmatched end tags ignored, stray ``<`` treated as text), with each
+   text run and element appended straight to the open element,
+2. a readability-style candidate scorer: for each candidate container,
    ``score = text_len * (1 - link_density) * boost`` where link_density
    is the fraction of text under ``<a>``, boost comes from the tag and
    class/id hints, and the best-scoring container's block texts are
@@ -29,14 +31,17 @@ from __future__ import annotations
 
 import html as _htmlmod
 import re
-from dataclasses import dataclass, field
 
-# ── tokenizer ─────────────────────────────────────────────────────────
+# ── tokenizer and tree builder (one pass) ─────────────────────────────
 
-_TAG_OPEN_RE = re.compile(r"<([a-zA-Z][a-zA-Z0-9:-]*)")
-_TAG_CLOSE_RE = re.compile(r"</([a-zA-Z][a-zA-Z0-9:-]*)\s*>")
+# an end tag (group 1), or a start tag's name (2) and attributes (3) up
+# to the '>' outside quoted values (an unterminated quote stops short)
+_TAG_RE = re.compile(r"""<(?:/([a-zA-Z][a-zA-Z0-9:-]*)\s*>"""
+                     r"""|([a-zA-Z][a-zA-Z0-9:-]*)((?:[^>"']+|"[^"]*"|'[^']*')*))""")
+# name, then a double-quoted, single-quoted or bare value (at most one
+# value group is non-empty; an absent value reads as "")
 _ATTR_RE = re.compile(
-    r"""([^\s=/>]+)(?:\s*=\s*("[^"]*"|'[^']*'|[^\s>]*))?"""
+    r"""([^\s=/>]+)(?:\s*=\s*(?:"([^"]*)"|'([^']*)'|([^\s>]*)))?"""
 )
 _WS_COLLAPSE_RE = re.compile(r"[ \t\r\n\f\v\xa0]+")
 # str.split() whitespace that _WS_COLLAPSE_RE lacks; if absent, split/join matches it
@@ -89,135 +94,101 @@ _NEGATIVE_HINT = re.compile(
     r"promo|related|rss|share|shoutbox|sidebar|sponsor|ad-|advert", re.I)
 
 
-@dataclass
 class Element:
-    tag: str
-    attrs: dict[str, str]
-    children: list = field(default_factory=list)  # Element | str (text)
+    __slots__ = ("tag", "attrs", "children")
+
+    def __init__(self, tag: str, attrs: dict[str, str], children: list | None = None):
+        self.tag = tag
+        self.attrs = attrs
+        self.children = [] if children is None else children  # Element | str (text)
 
 
 def _parse_attrs(s: str) -> dict[str, str]:
     attrs: dict[str, str] = {}
-    for m in _ATTR_RE.finditer(s):
-        name = m.group(1).lower()
-        val = m.group(2)
-        if val is None:
-            val = ""
-        elif val[:1] in "\"'" and val[:1] == val[-1:] and len(val) >= 2:
-            val = val[1:-1]
+    for name, dq, sq, bare in _ATTR_RE.findall(s):
+        val = dq or sq or bare
         if "&" in val:
             val = _htmlmod.unescape(val)
-        attrs.setdefault(name, val)
+        attrs.setdefault(name.lower(), val)
     return attrs
 
 
-def tokenize(src: str):
-    """Yield ('text', s) | ('start', tag, attrs, self_closing) |
-    ('end', tag) events. Forgiving: stray '<' is text, unterminated
-    constructs consume to EOF."""
+def parse_html(src: str) -> Element:
+    """Scan ``src`` once and build a forgiving element tree, appending
+    each text run and element straight to the open element. Forgiving:
+    a stray '<' is text, unterminated constructs consume to EOF.
+    Returns a synthetic root."""
+    root = Element("#root", {})
+    stack = [root]
+    open_tags: list[str] = ["#root"]
+    children = root.children  # the open element's children
     n = len(src)
     pos = 0
     while pos < n:
         lt = src.find("<", pos)
         if lt < 0:
-            yield ("text", src[pos:])
-            break
+            lt = n
         if lt > pos:
-            yield ("text", src[pos:lt])
-        nxt = src[lt + 1 : lt + 2]
-        if src.startswith("<!--", lt):
-            end = src.find("-->", lt + 4)
-            pos = n if end < 0 else end + 3
-            continue
-        if nxt in ("!", "?"):  # doctype / CDATA / processing instruction
-            end = src.find(">", lt + 1)
-            pos = n if end < 0 else end + 1
-            continue
-        if nxt == "/":
-            m = _TAG_CLOSE_RE.match(src, lt)
-            if m:
-                yield ("end", m.group(1).lower())
-                pos = m.end()
-            else:
-                end = src.find(">", lt + 2)
-                pos = n if end < 0 else end + 1
-            continue
-        m = _TAG_OPEN_RE.match(src, lt)
-        if not m:
-            yield ("text", "<")
-            pos = lt + 1
-            continue
-        tag = m.group(1).lower()
-        # scan to the closing '>' respecting quoted attribute values
-        i = m.end()
-        in_q: str | None = None
-        while i < n:
-            c = src[i]
-            if in_q:
-                if c == in_q:
-                    in_q = None
-            elif c in "\"'":
-                in_q = c
-            elif c == ">":
-                break
-            i += 1
-        attr_src = src[m.end() : i]
-        self_closing = attr_src.rstrip().endswith("/")
-        yield ("start", tag, _parse_attrs(attr_src), self_closing)
-        pos = i + 1 if i < n else n
-        if tag in RAWTEXT_TAGS and not self_closing and pos < n:
-            # rawtext: consume until the matching close tag
-            m2 = _RAWTEXT_CLOSE[tag].search(src, pos)
-            raw_end = m2.start() if m2 else n
-            yield ("rawtext", tag, src[pos:raw_end])
-            yield ("end", tag)
-            pos = m2.end() if m2 else n
-
-
-def parse_html(src: str) -> Element:
-    """Build a forgiving element tree. Returns a synthetic root."""
-    root = Element("#root", {})
-    stack = [root]
-    open_tags: list[str] = ["#root"]
-    for ev in tokenize(src):
-        kind = ev[0]
-        if kind == "text":
-            txt = ev[1]
+            txt = src[pos:lt]
             if "&" in txt:  # unescape only when an entity can exist
                 txt = _htmlmod.unescape(txt)
             if txt:
-                stack[-1].children.append(txt)
-        elif kind == "rawtext":
-            tag, raw = ev[1], ev[2]
-            # script/style bodies must not leak into content; keep them as
-            # children of the (pruned) element for completeness.
-            stack[-1].children.append(raw)
-        elif kind == "start":
-            tag, attrs, self_closing = ev[1], ev[2], ev[3]
-            closes = _IMPLICIT_CLOSE.get(tag)
-            if closes and open_tags[-1] in closes:
-                stack.pop()
-                open_tags.pop()
-            el = Element(tag, attrs)
-            stack[-1].children.append(el)
-            # HTML5: the trailing "/" is IGNORED on non-void elements
-            # (browsers treat <a .../> as an open <a>); honoring it
-            # emptied anchors and warped block structure on real crawl
-            # markup
-            if tag not in VOID_TAGS:
-                stack.append(el)
-                open_tags.append(tag)
-        elif kind == "end":
-            tag = ev[1]
-            if tag in VOID_TAGS:
+                children.append(txt)
+            if lt == n:
+                break
+        m = _TAG_RE.match(src, lt)
+        if m is None:
+            if src.startswith("<!--", lt):
+                end = src.find("-->", lt + 4)
+                pos = n if end < 0 else end + 3
                 continue
-            if tag in open_tags[1:]:
-                while open_tags[-1] != tag:
+            if src[lt + 1 : lt + 2] not in ("/", "!", "?"):  # stray '<'
+                children.append("<")
+                pos = lt + 1
+                continue
+            # doctype / CDATA / PI / malformed end tag
+            end = src.find(">", lt + 2)
+            pos = n if end < 0 else end + 1
+            continue
+        pos = m.end()
+        tag = m.group(1)
+        if tag is not None:  # end tag
+            tag = tag.lower()
+            if tag in open_tags:  # unmatched end tags are ignored
+                while open_tags.pop() != tag:
                     stack.pop()
-                    open_tags.pop()
                 stack.pop()
-                open_tags.pop()
-            # unmatched end tag: ignored
+                children = stack[-1].children
+            continue
+        tag = m.group(2).lower()
+        attr_src = m.group(3)
+        pos += 1
+        if pos > n or src[pos - 1] != ">":  # unterminated: runs to EOF
+            attr_src = src[m.start(3):]
+            pos = n
+        closes = _IMPLICIT_CLOSE.get(tag)
+        if closes and open_tags[-1] in closes:
+            stack.pop()
+            open_tags.pop()
+            children = stack[-1].children
+        el = Element(tag, _parse_attrs(attr_src) if attr_src else {})
+        children.append(el)
+        # HTML5: the trailing "/" is IGNORED on non-void elements
+        # (browsers treat <a .../> as an open <a>); honoring it emptied
+        # anchors and warped block structure on real crawl markup
+        if tag in VOID_TAGS:
+            continue
+        if (tag in RAWTEXT_TAGS and pos < n
+                and not attr_src.rstrip().endswith("/")):
+            # rawtext: the body up to the matching close tag is one text
+            # child of the (pruned) element, which then closes
+            m2 = _RAWTEXT_CLOSE[tag].search(src, pos)
+            el.children.append(src[pos : m2.start() if m2 else n])
+            pos = m2.end() if m2 else n
+            continue
+        stack.append(el)
+        open_tags.append(tag)
+        children = el.children
     return root
 
 

@@ -234,32 +234,35 @@ _SBOX_NP = np.array(_SBOX, dtype=np.uint8)
 _INV_SBOX_NP = np.array(_INV_SBOX, dtype=np.uint8)
 _GF_T = {m: np.array([_gmul(x, m) for x in range(256)], dtype=np.uint8)
          for m in (9, 11, 13, 14)}
-# InvShiftRows permutation on the column-major flat layout
+# InvShiftRows on the column-major flat layout (byte (r,c) at 4c+r),
+# shaped [column, row]: new[c][r] = old[4((c-r)%4)+r]
 _INV_SHIFT_IDX = np.array(
-    [(4 * (c - r) + r) % 16 for c in range(4) for r in range(4)], dtype=np.intp)
-
-
-def _inv_mix_columns_np(s: np.ndarray) -> np.ndarray:
-    a, b, c, d = s[:, 0::4], s[:, 1::4], s[:, 2::4], s[:, 3::4]
-    t9, t11, t13, t14 = _GF_T[9], _GF_T[11], _GF_T[13], _GF_T[14]
-    out = np.empty_like(s)
-    out[:, 0::4] = t14[a] ^ t11[b] ^ t13[c] ^ t9[d]
-    out[:, 1::4] = t9[a] ^ t14[b] ^ t11[c] ^ t13[d]
-    out[:, 2::4] = t13[a] ^ t9[b] ^ t14[c] ^ t11[d]
-    out[:, 3::4] = t11[a] ^ t13[b] ^ t9[c] ^ t14[d]
-    return out
+    [[(4 * (c - r) + r) % 16 for r in range(4)] for c in range(4)], dtype=np.intp)
+# Table-driven equivalent inverse cipher (FIPS-197 §5.3.5): _TD[r][x] is
+# the column (little-endian uint32, row i in byte i) that InvSubBytes
+# then InvMixColumns make of byte x in row r. A round is one
+# InvShiftRows gather, 16 lookups XORed per block and a round key that
+# went through InvMixColumns once per call.
+_INV_MIX = ((14, 11, 13, 9), (9, 14, 11, 13), (13, 9, 14, 11), (11, 13, 9, 14))
+_TD = np.array([sum(_GF_T[_INV_MIX[i][r]][_INV_SBOX_NP].astype("<u4") << 8 * i
+                    for i in range(4)) for r in range(4)])
+_ROWS = np.arange(4)
 
 
 def _aes_ecb_decrypt_blocks(cipher: AES128, blocks: np.ndarray) -> np.ndarray:
-    rks = [np.array(rk, dtype=np.uint8) for rk in cipher.round_keys]
-    s = blocks ^ rks[cipher.n_rounds]
-    for rnd in range(cipher.n_rounds - 1, -1, -1):
-        s = s[:, _INV_SHIFT_IDX]
-        s = _INV_SBOX_NP[s]
-        s = s ^ rks[rnd]
-        if rnd > 0:
-            s = _inv_mix_columns_np(s)
-    return s
+    nr = cipher.n_rounds
+    rk = np.array(cipher.round_keys, dtype=np.uint8)
+    # InvMixColumns of the inner round keys (SubBytes undoes the tables'
+    # InvSubBytes)
+    dk = np.bitwise_xor.reduce(
+        _TD[_ROWS, _SBOX_NP[rk[1:nr]].reshape(-1, 4, 4)], axis=2)
+    s = np.empty((len(blocks), 4), "<u4")  # state columns
+    s8 = s.view(np.uint8)
+    np.bitwise_xor(blocks, rk[nr], out=s8)
+    for rnd in range(nr - 1, 0, -1):
+        np.bitwise_xor.reduce(_TD[_ROWS, s8[:, _INV_SHIFT_IDX]], axis=2, out=s)
+        s ^= dk[rnd - 1]
+    return _INV_SBOX_NP[s8[:, _INV_SHIFT_IDX]].reshape(-1, 16) ^ rk[0]
 
 
 def aes_cbc_encrypt_nopad(key: bytes, iv: bytes, data: bytes) -> bytes:

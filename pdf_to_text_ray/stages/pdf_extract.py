@@ -4,7 +4,8 @@ The reference delegates this to ``unpdf``/``pdfjs-dist``
 (src/main.ts:148-154, package.json:8-9); we implement the parser from
 public knowledge only (PDF 1.7 spec, ISO 32000-1):
 
-- object layer: one token grammar (``_OBJ_RE``) and one object
+- object layer: one token grammar (``_OBJ_RE``, one match per token:
+  each match absorbs the whitespace before it) and one object
   parser (``parse_object_at``) for header, literal/hex strings, names
   with #xx, numbers, dicts, arrays, indirect references (spec §7.3);
   the xref, ObjStm and CMap readers and the content-stream
@@ -16,10 +17,11 @@ public knowledge only (PDF 1.7 spec, ISO 32000-1):
 - hybrid-reference files: table trailer /XRefStm →
   xref stream loaded before /Prev (stream entries reach
   the ObjStm members the table marks free)            (spec §7.5.8.4)
-- stream filters: FlateDecode (zlib), ASCIIHexDecode  (spec §7.4)
+- stream filters: FlateDecode (zlib, output capped), ASCIIHex (spec §7.4)
 - page-tree walk with cycle/depth guards              (spec §7.7.3)
-- content-stream text interpreter: BT/ET, Tf, Td, TD, TL, T*, Tm,
-  Tj, TJ, ', ", q/Q/cm, BI..EI skip                   (spec §9.4)
+- content-stream text interpreter, one ``finditer`` pass per stream:
+  BT/ET, Tf, Td, TD, TL, T*, Tm, Tj, TJ, ', ", q/Q/cm, BI..EI skip
+                                                      (spec §9.4)
 - Form XObjects: ``name Do`` recurses into /Subtype/Form streams with
   the form /Matrix composed onto the CTM, own /Resources (parent
   fallback), depth-capped + cycle-guarded                (spec §8.10)
@@ -81,6 +83,9 @@ from .reading_order import Run, document_text
 MAX_PAGE_TREE_DEPTH = 64
 MAX_PAGES = 100_000
 NOMINAL_GLYPH_WIDTH = 0.5  # em fraction used for the x-advance estimate
+# Flate output cap per stream: a stream that would inflate past it (a
+# decompression bomb) raises instead of exhausting the worker's memory
+MAX_INFLATED_BYTES = 64 * 2**20
 
 
 class PdfError(Exception):
@@ -96,6 +101,10 @@ class PdfPubSecError(PdfEncryptedError):
     """Certificate (public-key) security handler (spec §7.6.4) — its
     own exception class so quarantine's error_kind distinguishes
     'needs a recipient certificate' from 'password-protected'."""
+
+
+class PdfStreamTooLargeError(PdfError):
+    """A Flate stream inflates past ``MAX_INFLATED_BYTES``."""
 
 
 class Ref(NamedTuple):
@@ -196,12 +205,14 @@ def _literal_string(data: bytes, pos: int) -> tuple[bytes, int]:
 
 
 # The one PDF token grammar (spec §7.2), shared by the object parser,
-# the xref/ObjStm/CMap readers and the content-stream interpreter. It
-# matches at every position (the final ``.`` takes a stray byte), and
-# unnamed matches (whitespace, comments, stray bytes) carry no token.
+# the xref/ObjStm/CMap readers and the content-stream interpreter. Each
+# match absorbs the whitespace before its token, so one match is one
+# token; it matches at every position (the final ``.`` takes a stray
+# byte), and unnamed matches (comments, stray bytes, trailing
+# whitespace) carry no token.
 _OBJ_RE = re.compile(
-    rb"""[\x00\t\n\f\r ]+
-      |%[^\r\n]*
+    rb"""[\x00\t\n\f\r ]*
+      (?:%[^\r\n]*
       |(?P<num>[+-]?(?:\d+\.\d*|\.\d+|\d+))
       |(?P<name>/[^\x00\t\n\f\r ()<>\[\]{}/%]*)
       |(?P<sstr>\((?:[^()\\]*)\))
@@ -212,7 +223,7 @@ _OBJ_RE = re.compile(
       |(?P<aopen>\[)
       |(?P<aclose>\])
       |(?P<kw>[^\x00\t\n\f\r ()<>\[\]{}/%]+)
-      |.
+      |.)
     """,
     re.VERBOSE | re.DOTALL,
 )
@@ -519,15 +530,14 @@ def decode_stream(d: dict, raw: bytes, doc: "PdfDocument | None" = None) -> byte
         filt = str(res(filt))
         parm = res(parm) or {}
         if filt in ("FlateDecode", "Fl"):
+            # a decompressobj also salvages truncated/over-padded streams
             try:
-                data = zlib.decompress(data)
-            except zlib.error:
-                # salvage partial/over-padded streams
-                try:
-                    dobj = zlib.decompressobj()
-                    data = dobj.decompress(data)
-                except zlib.error as e:
-                    raise PdfError(f"FlateDecode failed: {e}") from e
+                data = zlib.decompressobj().decompress(data, MAX_INFLATED_BYTES + 1)
+            except zlib.error as e:
+                raise PdfError(f"FlateDecode failed: {e}") from e
+            if len(data) > MAX_INFLATED_BYTES:
+                raise PdfStreamTooLargeError(
+                    f"FlateDecode output exceeds {MAX_INFLATED_BYTES} bytes")
         elif filt in ("ASCIIHexDecode", "AHx"):
             h = _HEX_CLEAN.sub(b"", data.rstrip(b">"))
             if len(h) % 2:
@@ -1750,7 +1760,6 @@ def interpret_content(content: bytes, fonts: dict | None = None,
     char_spacing = 0.0   # Tc (text-space units, unscaled by size)
     word_spacing = 0.0   # Tw (applies per 0x20 byte, simple fonts)
     arr_stack: list[list] = []
-    depth_skip = 0  # inside << >> dicts: collect nothing
 
     def emit(text_bytes: bytes):
         nonlocal tm
@@ -1799,152 +1808,143 @@ def interpret_content(content: bytes, fonts: dict | None = None,
         else:
             tm = _translate(adv, 0.0, tm)
 
-    pos = 0
     n = len(content)
     target: list[Any] = stack
-    while pos < n:
-        m = _OBJ_RE.match(content, pos)
-        pos = m.end()
-        kind = m.lastgroup
-        if kind is None:
-            continue
-        if depth_skip:
-            if kind == "dopen":
-                depth_skip += 1
-            elif kind == "dclose":
-                depth_skip -= 1
-            continue
-        if kind == "num":
-            s = m.group("num")
-            target.append(float(s) if b"." in s else int(s))
-            continue
-        if kind == "sstr":  # simple literal string, no escapes/nesting
-            target.append(m.group("sstr")[1:-1])
-            continue
-        if kind == "lstr":  # escaped/nested literal string: slow path
-            v, pos = _literal_string(content, pos)
-            target.append(v)
-            continue
-        if kind == "name":
-            target.append(Name(m.group("name")[1:].decode("latin-1")))
-            continue
-        if kind == "hexstr":
-            h = _HEX_CLEAN.sub(b"", m.group("hexstr")[1:-1])
-            if len(h) % 2:
-                h += b"0"
-            target.append(bytes.fromhex(h.decode("ascii")))
-            continue
-        if kind == "aopen":
-            arr: list[Any] = []
-            arr_stack.append(arr)
-            target = arr
-            continue
-        if kind == "aclose":
-            if arr_stack:
-                arr = arr_stack.pop()
-                target = arr_stack[-1] if arr_stack else stack
-                target.append(arr)
-            continue
-        if kind == "dopen":
-            depth_skip = 1
-            continue
-        if kind == "dclose":
-            continue
-        op = m.group("kw")
-        if arr_stack:  # malformed: operator inside array — resync
-            arr_stack.clear()
-            target = stack
-            stack.clear()
-            continue
-        try:
-            if op == b"BT":
-                tm = tlm = _ID
-            elif op == b"ET":
-                pass
-            elif op == b"Tf":
-                if len(stack) >= 1 and isinstance(stack[-1], (int, float)):
-                    size = float(stack[-1])
-                if fonts and len(stack) >= 2 and isinstance(stack[-2], str):
-                    decoder = fonts.get(stack[-2], _LATIN1_DECODER)
-            elif op == b"Td":
-                tx, ty = float(stack[-2]), float(stack[-1])
-                tlm = _translate(tx, ty, tlm)
-                tm = tlm
-            elif op == b"TD":
-                tx, ty = float(stack[-2]), float(stack[-1])
-                leading = -ty
-                tlm = _translate(tx, ty, tlm)
-                tm = tlm
-            elif op == b"TL":
-                leading = float(stack[-1])
-            elif op == b"Tc":
-                char_spacing = float(stack[-1])
-            elif op == b"Tw":
-                word_spacing = float(stack[-1])
-            elif op == b"T*":
-                tlm = _translate(0.0, -leading, tlm)
-                tm = tlm
-            elif op == b"Tm":
-                tm = tlm = tuple(float(v) for v in stack[-6:])
-            elif op == b"Tj":
-                emit(stack[-1])
-            elif op == b"'":
-                tlm = _translate(0.0, -leading, tlm)
-                tm = tlm
-                emit(stack[-1])
-            elif op == b'"':
-                # aw ac string " — set word/char spacing, then T* + show
-                if len(stack) >= 3:
-                    word_spacing = float(stack[-3])
-                    char_spacing = float(stack[-2])
-                tlm = _translate(0.0, -leading, tlm)
-                tm = tlm
-                emit(stack[-1])
-            elif op == b"TJ":
-                arr = stack[-1] if stack and isinstance(stack[-1], list) else []
-                text_parts = [e for e in arr if isinstance(e, bytes)]
-                emit(b"".join(text_parts))
-                kern = sum(e for e in arr if isinstance(e, (int, float)))
-                # the adjustment applies along the WRITING direction
-                # (spec §9.4.3): x in horizontal mode, y in vertical
-                if decoder.vertical:
-                    tm = _translate(0.0, -kern / 1000.0 * size, tm)
-                else:
-                    tm = _translate(-kern / 1000.0 * size, 0.0, tm)
-            elif op == b"q":
-                ctm_stack.append(ctm)
-            elif op == b"Q":
-                if ctm_stack:
-                    ctm = ctm_stack.pop()
-            elif op == b"cm":
-                m = tuple(float(v) for v in stack[-6:])
-                ctm = _mat_mul(m, ctm)
-            elif op == b"Do":
-                name = stack[-1] if stack else None
-                if (xobjects and isinstance(name, str)
-                        and name in xobjects and _depth < 8):
-                    xc, xfonts, xnested, xmatrix = xobjects[name]
-                    inner = xmatrix if xmatrix is not None else _ID
-                    runs.extend(interpret_content(
-                        xc, xfonts, xnested,
-                        ctm0=_mat_mul(inner, ctm), _depth=_depth + 1))
-            elif op == b"BI":
-                # inline image (spec §8.9.7): skip past EI. The image
-                # data is raw binary and may contain the bytes "EI", so
-                # require whitespace on both sides (spec: EI is a
-                # whitespace-delimited operator) instead of taking the
-                # first occurrence.
-                end = content.find(b"EI", pos)
-                while end != -1:
-                    before_ws = end == 0 or content[end - 1] in b"\x00\t\n\x0c\r "
-                    after_ws = end + 2 >= n or content[end + 2] in b"\x00\t\n\x0c\r "
-                    if before_ws and after_ws:
-                        break
-                    end = content.find(b"EI", end + 2)
-                pos = n if end == -1 else end + 2
-        except (IndexError, TypeError, ValueError):
-            pass  # malformed operands: ignore op (lenient)
-        stack.clear()
+    # one finditer pass; it restarts only after the two jumps (an
+    # escaped/nested literal string, an inline image's BI … EI)
+    jump: int | None = 0
+    while jump is not None:
+        tokens = _OBJ_RE.finditer(content, jump)
+        jump = None
+        for m in tokens:
+            kind = m.lastgroup
+            if kind == "num":
+                s = m.group("num")
+                target.append(float(s) if b"." in s else int(s))
+                continue
+            if kind == "kw":
+                if arr_stack:  # malformed: operator inside array — resync
+                    arr_stack.clear()
+                    target = stack
+                    stack.clear()
+                    continue
+                op = m.group("kw")
+                # operators in order of how often they occur
+                try:
+                    if op == b"Tj":
+                        emit(stack[-1])
+                    elif op == b"Td":
+                        tm = tlm = _translate(float(stack[-2]), float(stack[-1]), tlm)
+                    elif op == b"Tm":
+                        tm = tlm = tuple(float(v) for v in stack[-6:])
+                    elif op == b"'":
+                        tm = tlm = _translate(0.0, -leading, tlm)
+                        emit(stack[-1])
+                    elif op == b"Tf":
+                        if len(stack) >= 1 and isinstance(stack[-1], (int, float)):
+                            size = float(stack[-1])
+                        if fonts and len(stack) >= 2 and isinstance(stack[-2], str):
+                            decoder = fonts.get(stack[-2], _LATIN1_DECODER)
+                    elif op == b"BT":
+                        tm = tlm = _ID
+                    elif op == b"TL":
+                        leading = float(stack[-1])
+                    elif op == b"TJ":
+                        arr = stack[-1] if stack and isinstance(stack[-1], list) else []
+                        text_parts = [e for e in arr if isinstance(e, bytes)]
+                        emit(b"".join(text_parts))
+                        kern = sum(e for e in arr if isinstance(e, (int, float)))
+                        # the adjustment applies along the WRITING direction
+                        # (spec §9.4.3): x in horizontal mode, y in vertical
+                        if decoder.vertical:
+                            tm = _translate(0.0, -kern / 1000.0 * size, tm)
+                        else:
+                            tm = _translate(-kern / 1000.0 * size, 0.0, tm)
+                    elif op == b'"':
+                        # aw ac string " — set word/char spacing, then T* + show
+                        if len(stack) >= 3:
+                            word_spacing = float(stack[-3])
+                            char_spacing = float(stack[-2])
+                        tm = tlm = _translate(0.0, -leading, tlm)
+                        emit(stack[-1])
+                    elif op == b"TD":
+                        tx, ty = float(stack[-2]), float(stack[-1])
+                        leading = -ty
+                        tm = tlm = _translate(tx, ty, tlm)
+                    elif op == b"Tc":
+                        char_spacing = float(stack[-1])
+                    elif op == b"Tw":
+                        word_spacing = float(stack[-1])
+                    elif op == b"T*":
+                        tm = tlm = _translate(0.0, -leading, tlm)
+                    elif op == b"q":
+                        ctm_stack.append(ctm)
+                    elif op == b"Q":
+                        if ctm_stack:
+                            ctm = ctm_stack.pop()
+                    elif op == b"cm":
+                        ctm = _mat_mul(tuple(float(v) for v in stack[-6:]), ctm)
+                    elif op == b"Do":
+                        name = stack[-1] if stack else None
+                        if (xobjects and isinstance(name, str)
+                                and name in xobjects and _depth < 8):
+                            xc, xfonts, xnested, xmatrix = xobjects[name]
+                            inner = xmatrix if xmatrix is not None else _ID
+                            runs.extend(interpret_content(
+                                xc, xfonts, xnested,
+                                ctm0=_mat_mul(inner, ctm), _depth=_depth + 1))
+                    elif op == b"BI":
+                        # inline image (spec §8.9.7): skip past EI. The image
+                        # data is raw binary and may contain the bytes "EI", so
+                        # require whitespace on both sides (spec: EI is a
+                        # whitespace-delimited operator) instead of taking the
+                        # first occurrence.
+                        end = content.find(b"EI", m.end())
+                        while end != -1:
+                            before_ws = end == 0 or content[end - 1] in _WS
+                            after_ws = end + 2 >= n or content[end + 2] in _WS
+                            if before_ws and after_ws:
+                                break
+                            end = content.find(b"EI", end + 2)
+                        jump = n if end == -1 else end + 2
+                except (IndexError, TypeError, ValueError):
+                    pass  # malformed operands: ignore op (lenient)
+                stack.clear()
+                if jump is not None:
+                    break
+                continue
+            if kind == "sstr":  # simple literal string, no escapes/nesting
+                target.append(m.group("sstr")[1:-1])
+            elif kind == "name":
+                target.append(Name(m.group("name")[1:].decode("latin-1")))
+            elif kind == "lstr":  # escaped/nested literal string: jump
+                v, jump = _literal_string(content, m.end())
+                target.append(v)
+                break
+            elif kind == "aopen":
+                arr: list[Any] = []
+                arr_stack.append(arr)
+                target = arr
+            elif kind == "aclose":
+                if arr_stack:
+                    arr = arr_stack.pop()
+                    target = arr_stack[-1] if arr_stack else stack
+                    target.append(arr)
+            elif kind == "hexstr":
+                h = _HEX_CLEAN.sub(b"", m.group("hexstr")[1:-1])
+                if len(h) % 2:
+                    h += b"0"
+                target.append(bytes.fromhex(h.decode("ascii")))
+            elif kind == "dopen":  # operand dictionary: collect nothing
+                depth = 1
+                for m in tokens:
+                    if m.lastgroup == "dopen":
+                        depth += 1
+                    elif m.lastgroup == "dclose":
+                        depth -= 1
+                        if not depth:
+                            break
+            # dclose, comments and stray bytes carry nothing
     return runs
 
 

@@ -8,23 +8,17 @@ from pdf_to_text_ray.stages.html_extract import (
     parse_html,
     render_blocks,
     select_main_content,
-    tokenize,
 )
 
 
-def test_tokenizer_basics():
-    evs = list(tokenize('<p class="a">hi &amp; bye</p>'))
-    assert evs[0] == ("start", "p", {"class": "a"}, False)
-    assert evs[1][0] == "text"
-    assert evs[2] == ("end", "p")
+def test_parse_html_basics():
+    (p,) = parse_html('<p class="a">hi &amp; bye</p>').children
+    assert (p.tag, p.attrs, p.children) == ("p", {"class": "a"}, ["hi & bye"])
 
 
-def test_tokenizer_comment_doctype_stray_lt():
-    evs = list(tokenize("<!DOCTYPE html><!-- c --><p>a < b</p>"))
-    kinds = [e[0] for e in evs]
-    assert kinds == ["start", "text", "text", "text", "end"]
-    text = "".join(e[1] for e in evs if e[0] == "text")
-    assert text == "a < b"
+def test_parse_html_comment_doctype_stray_lt():
+    (p,) = parse_html("<!DOCTYPE html><!-- c --><p>a < b</p>").children
+    assert p.tag == "p" and p.children == ["a ", "<", " b"]
 
 
 def test_script_style_do_not_leak():

@@ -119,6 +119,22 @@ def test_asciihex():
     assert decode_stream({"Filter": Name("ASCIIHexDecode")}, b"48656C6C6F>") == b"Hello"
 
 
+def test_flate_output_capped(monkeypatch):
+    import pdf_to_text_ray.stages.pdf_extract as pe
+
+    monkeypatch.setattr(pe, "MAX_INFLATED_BYTES", 4096)
+    flate = {"Filter": Name("FlateDecode")}
+    assert decode_stream(flate, zlib.compress(b"a" * 4096)) == b"a" * 4096
+    bomb = zlib.compress(b"\0" * 10**6)  # 1 MB from about 1 kB
+    with pytest.raises(pe.PdfStreamTooLargeError):
+        decode_stream(flate, bomb)
+    # truncated and over-padded streams still inflate what they hold
+    whole = zlib.compress(bytes(range(256)) * 8)
+    assert decode_stream(flate, whole + b"\r\nendstream") == bytes(range(256)) * 8
+    part = decode_stream(flate, whole[:len(whole) // 2])
+    assert part and (bytes(range(256)) * 8).startswith(part)
+
+
 def test_unsupported_filter_raises():
     with pytest.raises(PdfError):
         decode_stream({"Filter": Name("DCTDecode")}, b"x")
@@ -176,6 +192,27 @@ def test_inline_image_data_containing_ei_bytes():
                b" EI BT (b) Tj ET")
     runs = interpret_content(content)
     assert [r.text for r in runs] == ["a", "b"]
+
+
+# the interpreter's jumps (escaped/nested literal strings, skipped
+# operand dicts) and resyncs, each followed by more operators
+@pytest.mark.parametrize("content, expected", [
+    (rb"BT 50 700 Td (a\)b) Tj (x(y)z)Tj 0 -14 Td (\101\(c) ' ET",
+     [(50, 700, "a)b"), (51.5, 700, "x(y)z"), (50, 686, "A(c")]),
+    (rb"BT /P << /A << /B 1 >> >> BDC 50 700 Td (in) Tj EMC"
+     rb" /Q <</A (x) Tj>> BDC (after) Tj ET",
+     [(50, 700, "in"), (51, 700, "after")]),
+    (b"BT 50 %comment (no) Tj\n 700 Td (x) Tj 0 -14 Td % 9 9 Td\r(y) Tj ET",
+     [(50, 700, "x"), (50, 686, "y")]),
+    # an operator inside [ ... ] drops the array and the operands
+    (rb"BT 50 700 Td [(a) Tj (b)] TJ (c) Tj [(d) 5 (e)] TJ ET",
+     [(50, 700, "c"), (50.5, 700, "de")]),
+    (rb"BT 50 700 Td(a)Tj(b)Tj ET", [(50, 700, "a"), (50.5, 700, "b")]),
+    (rb"BT 50 700 Td <414> Tj <4 1 4 2 4> Tj ET",
+     [(50, 700, "A@"), (51, 700, "AB@")]),
+])
+def test_interpret_jumps_and_resyncs(content, expected):
+    assert [(r.x, r.y, r.text) for r in interpret_content(content)] == expected
 
 
 # ── end-to-end fixture round-trips ────────────────────────────────────
@@ -416,6 +453,24 @@ class TestEncryption:
         for n in (0, 1, 15, 16, 17, 100):
             msg = bytes(range(256))[:n]
             assert aes_cbc_decrypt(key, aes_cbc_encrypt(key, iv, msg)) == msg
+
+    # NIST SP 800-38A F.2.2 (CBC-AES128) and F.2.6 (CBC-AES256) decrypt
+    @pytest.mark.parametrize("key, ct", [
+        ("2b7e151628aed2a6abf7158809cf4f3c",
+         "7649abac8119b246cee98e9b12e9197d5086cb9b507219ee95db113a917678b2"
+         "73bed6b8e3c1743b7116e69e222295163ff1caa1681fac09120eca307586e1a7"),
+        ("603deb1015ca71be2b73aef0857d77811f352c073b6108d72d9810a30914dff4",
+         "f58c4c04d6e5f1ba779eabfb5f7bfbd69cfc4e967edb808d679f777bc6702c7d"
+         "39f23369a9d9bacfa530e26304231461b2eb05e2c39be9fcda6c19078c6a9d1b"),
+    ])
+    def test_cbc_decrypt_sp800_38a(self, key, ct):
+        from pdf_to_text_ray.stages.pdf_crypto import aes_cbc_decrypt_nopad
+
+        pt = aes_cbc_decrypt_nopad(bytes.fromhex(key), bytes(range(16)),
+                                   bytes.fromhex(ct))
+        assert pt.hex() == (
+            "6bc1bee22e409f96e93d7e117393172aae2d8a571e03ac9c9eb76fac45af8e51"
+            "30c81c46a35ce411e5fbc1191a0a52eff69f2445df4f9b17ad2b417be66c3710")
 
     # "+owner" = owner-password-locked, empty USER password: spec
     # §7.6.3 — the document must still decrypt (the round-2 verdict's

@@ -2,18 +2,23 @@
 entry at a given sf and compare with oracle_sql() via DuckDB
 (row-count + column names + order-insensitive value-hash).
 
-Usage: PYTHONPATH=/root/repo python tools/check_oracles.py [sf_dir] [name ...]
+Usage: python tools/check_oracles.py [sf_dir] [name ...]
+
+This process and its Ray workers import the package from the checkout
+this script lives in, whatever the working directory or ``PYTHONPATH``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 import sys
 import time
 
 import duckdb
 import pandas as pd
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TABLES = ("region nation customer supplier part orders lineitem events "
           "documents embeddings").split()
 
@@ -53,9 +58,14 @@ def main():
 
     import ray
 
+    # Ray puts the working directory of the process that calls ray.init
+    # first on every worker's sys.path, ahead of PYTHONPATH: run from
+    # this checkout's root so the workers import this checkout's package
+    sf_dir = os.path.abspath(sf_dir)
+    sys.path.insert(0, ROOT)
+    os.chdir(ROOT)
     ray.init(address="local", num_cpus=8, include_dashboard=False,
              logging_level="ERROR")
-    sys.path.insert(0, "/root/repo")
     import __ray_entry__ as entrymod
 
     con = duckdb.connect()

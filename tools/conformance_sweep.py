@@ -6,7 +6,7 @@ LZW) × font variants (incl. CID/embedded-CMap) × encryption modes
 Every config round-trips a generated document through the extractor and
 asserts byte identity against the generator's by-construction golden.
 
-Usage: PYTHONPATH=/root/repo python tools/conformance_sweep.py [N] [--v5]
+Usage: python tools/conformance_sweep.py [N] [--v5]
 (default N=400; --v5 adds aes-256 configs — ~1 s/doc by hardened-hash
 design, so keep N modest with it)
 """

@@ -13,7 +13,7 @@ identical per-doc extraction work (sniff → PDF/HTML/text extract),
 interleaved legs (8, 32, 8, 32) with per-leg best — the same
 noise-defense bench.py uses.
 
-Usage: PYTHONPATH=/root/repo python tools/mp_ceiling.py
+Usage: python tools/mp_ceiling.py
 Prints one JSON line:
   {"metric": "mp scaling ceiling", "eff_extract": ..., "lo": 8,
    "hi": 32, "sec_lo": ..., "sec_hi": ..., "docs": N}

@@ -2,7 +2,8 @@
 print a JSON object {name: sec} sorted slowest-first — the input for
 picking bench.py's pinned slow-tier list and for spotting regressions.
 
-Usage: PYTHONPATH=/root/repo python tools/time_queries.py [sf_dir] [out.json]
+Usage: PYTHONPATH=. python tools/time_queries.py [sf_dir] [out.json]
+(from the checkout root)
 """
 
 from __future__ import annotations
