@@ -109,7 +109,7 @@ def round6(x):
 
 def q1_pricing_summary(sf_dir: str):
     """Grouped aggregation with vectorized pre-computation (TPC-H Q1
-    shape): one shuffle over small pre-aggregated partials.
+    shape): per-batch grouped partials, merged on the driver.
 
     Money sums run in EXACT fixed-point cents (int64): prices and
     discounts are 2-decimal values, so round(p·100)·round((1−d)·100)
@@ -119,40 +119,47 @@ def q1_pricing_summary(sf_dir: str):
     2dp rounding boundary, while both engines' parallel float sums
     wobble ~5e-6 across runs: the float formulation made this row a
     literal coin flip (observed flaking in full-registry sweeps).
-    The classifier's int64 gradient quantization is the precedent."""
-    from ray.data.aggregate import Count, Mean, Sum
+    The classifier's int64 gradient quantization is the precedent.
 
-    ds = _lineitem(sf_dir, ["l_returnflag", "l_linestatus", "l_quantity",
-                            "l_extendedprice", "l_discount", "l_shipdate"])
+    The (l_returnflag, l_linestatus) key has at most 6 values at any
+    scale, so the partials merge in one pandas groupby with no
+    exchange. ``l_quantity`` holds integers, so its float sums are
+    exact in any order."""
+    keys = ["l_returnflag", "l_linestatus"]
+    ds = _lineitem(sf_dir, keys + ["l_quantity", "l_extendedprice",
+                                   "l_discount", "l_shipdate"])
 
-    def add_cents(t: pa.Table) -> pa.Table:
+    def partial(t: pa.Table) -> pa.Table:
         t = t.filter(pc.less_equal(t["l_shipdate"],
                                    pa.scalar(pd.Timestamp("1998-09-01"))))
         p = t["l_extendedprice"].to_numpy(zero_copy_only=False)
         d = t["l_discount"].to_numpy(zero_copy_only=False)
         pc_ = np.rint(p * 100.0).astype(np.int64)
         dc = np.rint((1.0 - d) * 100.0).astype(np.int64)
-        return (t.append_column("price_c", pa.array(pc_, pa.int64()))
-                .append_column("disc_c", pa.array(pc_ * dc, pa.int64())))
+        r = pa.table({
+            "l_returnflag": t["l_returnflag"],
+            "l_linestatus": t["l_linestatus"],
+            "l_quantity": t["l_quantity"],
+            "price_c": pa.array(pc_, pa.int64()),
+            "disc_c": pa.array(pc_ * dc, pa.int64()),
+        }).group_by(keys).aggregate([
+            ("l_quantity", "sum"), ("price_c", "sum"), ("disc_c", "sum"),
+            ([], "count_all")])
+        return pa.table({"l_returnflag": r["l_returnflag"],
+                         "l_linestatus": r["l_linestatus"],
+                         "sum_qty": r["l_quantity_sum"],
+                         "base_c": r["price_c_sum"],
+                         "disc_c": r["disc_c_sum"],
+                         "count_order": r["count_all"]})
 
-    out = (
-        ds.map_batches(add_cents, batch_format="pyarrow")
-        .groupby(["l_returnflag", "l_linestatus"])
-        .aggregate(
-            Sum("l_quantity", alias_name="sum_qty"),
-            Sum("price_c", alias_name="base_c"),
-            Sum("disc_c", alias_name="disc_c"),
-            Mean("l_quantity", alias_name="avg_qty"),
-            Count(alias_name="count_order"),
-        )
-        .to_pandas()
-    )
+    out = (ds.map_batches(partial, batch_format="pyarrow").to_pandas()
+           .groupby(keys, as_index=False).sum())
+    out["avg_qty"] = round2(out["sum_qty"] / out["count_order"])
     out["sum_base_price"] = round2(out["base_c"].astype("int64")
                                    / 100.0)
     out["sum_disc_price"] = round2(out["disc_c"].astype("int64")
                                    / 10000.0)
     out["sum_qty"] = round2(out["sum_qty"])
-    out["avg_qty"] = round2(out["avg_qty"])
     out["count_order"] = out["count_order"].astype("int64")
     return out[["l_returnflag", "l_linestatus", "sum_qty",
                 "sum_base_price", "sum_disc_price", "avg_qty",
@@ -2167,18 +2174,15 @@ def sample_random_documents(sf_dir: str):
     layout-independent — the SAME rows survive any repartitioning or
     block split, which is what a resumable 100-TB sampling pass needs
     — and exactly replayable in SQL (DuckDB md5() on the same key)."""
-    import hashlib
+    from ..stages.md5np import md5_prefix64
 
     ds = _read(sf_dir, "documents", ["doc_id"])
-    cut = int(SAMPLE_RATE * 16 ** 12)
+    cut = np.uint64(int(SAMPLE_RATE * 16 ** 12))
 
     def pick(t: pa.Table) -> pa.Table:
-        ids = t["doc_id"].to_numpy(zero_copy_only=False)
-        keep = np.fromiter(
-            (int(hashlib.md5(f"{i}:{SAMPLE_SEED}".encode())
-                 .hexdigest()[:12], 16) < cut for i in ids),
-            dtype=bool, count=len(ids))
-        return t.filter(pa.array(keep))
+        keys = pc.binary_join_element_wise(
+            pc.cast(t["doc_id"], pa.string()), str(SAMPLE_SEED), ":")
+        return t.filter(pa.array(md5_prefix64(keys) >> np.uint64(16) < cut))
 
     return ds.map_batches(pick, batch_format="pyarrow")
 
@@ -5602,8 +5606,10 @@ def session_stats_per_user(sf_dir: str, gap_minutes: int = 30):
                  .fillna(False))
         g = g.assign(_sid=new_s.groupby(g["user_id"]).cumsum())
         per_sess = g.groupby(["user_id", "_sid"], sort=False).agg(
-            n_events=("event_id", "size"),
-            span_sec=("ts", lambda s: (s.max() - s.min()).total_seconds()))
+            n_events=("event_id", "size"), _mx=("ts", "max"),
+            _mn=("ts", "min"))
+        per_sess["span_sec"] = (per_sess["_mx"]
+                                - per_sess["_mn"]).dt.total_seconds()
         out = per_sess.groupby("user_id").agg(
             n_sessions=("n_events", "size"),
             max_session_events=("n_events", "max"),
@@ -5787,19 +5793,18 @@ def sample_weighted_docs(sf_dir: str, k: int = 20):
     digits / 2^32 — both engines compute the identical double). The
     top-k by key IS the weighted sample. Per-batch partial top-k +
     tiny driver merge (the knn partial-top-k shape)."""
-    import hashlib
+    from ..stages.sketches import md5_uniform
 
     ds = _read(sf_dir, "documents", ["doc_id", "n_chars"])
 
     def partial(t: pa.Table) -> pa.Table:
-        ids = t["doc_id"].to_pylist()
+        ids = t["doc_id"].to_numpy().astype(np.int64)
         w = t["n_chars"].to_numpy(zero_copy_only=False).astype(np.float64)
-        u = np.array([int(hashlib.md5(str(i).encode()).hexdigest()[:8], 16)
-                      for i in ids], np.float64) / 4294967296.0
+        u = md5_uniform(t["doc_id"])
         key = u ** (1.0 / np.maximum(w, 1.0))
         order = np.argsort(-key)[:k]
         return pa.table({
-            "doc_id": pa.array(np.asarray(ids, np.int64)[order]),
+            "doc_id": pa.array(ids[order]),
             "wkey": pa.array(key[order], pa.float64())})
 
     pdf = ds.map_batches(partial, batch_format="pyarrow").to_pandas()
@@ -7215,9 +7220,9 @@ def rebalance_lang_docs(sf_dir: str):
     broadcast; the filter is one streaming pass. (At 100 TB the md5
     hop becomes a vectorized 64-bit hash; md5 here is the documented
     cross-engine determinism trick.)"""
-    import hashlib
-
     from ray.data.aggregate import Count
+
+    from ..stages.sketches import md5_uniform
 
     ds = _read(sf_dir, "documents", ["doc_id", "lang"])
     counts = (ds.groupby("lang").aggregate(Count(alias_name="n"))
@@ -7226,10 +7231,8 @@ def rebalance_lang_docs(sf_dir: str):
     rate = {r.lang: mn / float(r.n) for r in counts.itertuples()}
 
     def keep(t: pa.Table) -> pa.Table:
-        ids = t["doc_id"].to_pylist()
         langs = t["lang"].to_pylist()
-        u = np.array([int(hashlib.md5(str(i).encode()).hexdigest()[:8], 16)
-                      for i in ids], np.float64) / 4294967296.0
+        u = md5_uniform(t["doc_id"])
         mask = u < np.array([rate[l] for l in langs], np.float64)
         return t.filter(pa.array(mask))
 
@@ -13484,21 +13487,18 @@ def epoch_shuffle_plan(sf_dir: str):
     prefix (rows shuffle once by hash range, nothing serial); the
     48-bit key space makes collisions at corpus scale ~2⁻³⁰, the
     documented distinctness assumption ordered_prefix_sum carries."""
-    import hashlib
-
     from ..stages.groups import ordered_prefix_sum
+    from ..stages.md5np import md5_prefix64
 
     ds = _read(sf_dir, "documents", ["doc_id"])
 
     def key(t: pa.Table) -> pa.Table:
-        ids = t["doc_id"].to_numpy(zero_copy_only=False)
-        h = np.fromiter(
-            (int(hashlib.md5(f"{i}:{SHUFFLE_EPOCH}".encode())
-                 .hexdigest()[:12], 16) for i in ids),
-            dtype=np.int64, count=len(ids))
+        keys = pc.binary_join_element_wise(
+            pc.cast(t["doc_id"], pa.string()), str(SHUFFLE_EPOCH), ":")
+        h = (md5_prefix64(keys) >> np.uint64(16)).astype(np.int64)
         return pa.table({"doc_id": t["doc_id"],
                          "hk": pa.array(h, pa.int64()),
-                         "one": pa.array(np.ones(len(ids), np.int64))})
+                         "one": pa.array(np.ones(len(h), np.int64))})
 
     scanned = ordered_prefix_sum(
         ds.map_batches(key, batch_format="pyarrow"),
@@ -14441,32 +14441,27 @@ def hll_estimate_users_per_type(sf_dir: str):
     is replayed identically; at sf0.001 (100 users) it takes the
     linear path, at sf0.01 (999) the raw path — both sides of the
     branch are driver-gated across scales."""
-    import hashlib
-
     from ray.data.aggregate import Max
+
+    from ..stages.md5np import md5_prefix64
 
     ds = _read(sf_dir, "events", ["event_type", "user_id"])
 
     def partial(t: pa.Table) -> pa.Table:
-        types = t["event_type"].to_pylist()
-        uids = t["user_id"].to_pylist()
-        acc: dict[tuple, int] = {}
-        for et, uid in zip(types, uids):
-            h = int(hashlib.md5(str(uid).encode()).hexdigest()[:8], 16)
-            bucket = h >> 26
-            sfx = h & ((1 << 26) - 1)
-            # rho = leading zeros of the 26-bit suffix + 1; bit_length
-            # gives the exact floor(log2)+1 the SQL twin computes
-            rho = 27 - sfx.bit_length() if sfx else 27
-            key = (et, bucket)
-            if acc.get(key, 0) < rho:
-                acc[key] = rho
-        keys = list(acc.keys())
-        return pa.table({
-            "event_type": pa.array([k[0] for k in keys], pa.string()),
-            "bucket": pa.array([k[1] for k in keys], pa.int64()),
-            "rho": pa.array([acc[k] for k in keys], pa.int64()),
-        })
+        h = (md5_prefix64(pc.cast(t["user_id"], pa.string()))
+             >> np.uint64(32)).astype(np.int64)
+        sfx = h & ((1 << 26) - 1)
+        # rho = leading zeros of the 26-bit suffix + 1; frexp's exponent
+        # is the exact bit length (floor(log2)+1, 0 for 0) the SQL twin
+        # computes
+        rho = 27 - np.frexp(sfx.astype(np.float64))[1].astype(np.int64)
+        r = pa.table({
+            "event_type": pc.cast(t["event_type"], pa.string()),
+            "bucket": pa.array(h >> 26, pa.int64()),
+            "rho": pa.array(rho, pa.int64()),
+        }).group_by(["event_type", "bucket"]).aggregate([("rho", "max")])
+        return pa.table({"event_type": r["event_type"],
+                         "bucket": r["bucket"], "rho": r["rho_max"]})
 
     regs = (ds.map_batches(partial, batch_format="pyarrow")
             .groupby(["event_type", "bucket"])
@@ -14588,28 +14583,30 @@ def poisson_bootstrap_value_ci(sf_dir: str):
     verbatim with the oracle), so DuckDB replays the exact weight
     grid. NULL values drop before weighting (ADVICE r05 precedent);
     bounds round 6 dp (partial-sum-order noise is ~1e-12)."""
-    import hashlib
+    from ..stages.sketches import md5_uniform
 
     ds = _read(sf_dir, "events", ["event_id", "value"])
+    reps = pc.cast(pa.array(np.arange(BOOT_B)), pa.string())
 
     def partials(df: pd.DataFrame) -> pd.DataFrame:
         v = df["value"].to_numpy(np.float64)
-        ids = df["event_id"].to_numpy()
         keep = ~np.isnan(v)
-        v, ids = v[keep], ids[keep]
-        sv = np.zeros(BOOT_B, np.float64)
-        sw = np.zeros(BOOT_B, np.int64)
-        for b in range(BOOT_B):
-            u = np.array(
-                [int(hashlib.md5(f"boot:{i}:{b}".encode())
-                     .hexdigest()[:8], 16) for i in ids],
-                np.float64) / 4294967296.0
-            w = np.searchsorted(_POIS_CUM_ARR, u, side="right")
-            sv[b] = float(w @ v)
-            sw[b] = int(w.sum())
+        v = v[keep]
+        n = len(v)
+        ids = pc.cast(pa.array(df["event_id"].to_numpy()[keep]), pa.string())
+        # the whole (replicate, event) key grid in one kernel call
+        grid = pc.binary_join_element_wise(
+            "boot", ids.take(np.tile(np.arange(n), BOOT_B)),
+            reps.take(np.repeat(np.arange(BOOT_B), n)), ":")
+        w = np.searchsorted(_POIS_CUM_ARR, md5_uniform(grid),
+                            side="right").reshape(BOOT_B, n)
+        # one dot per replicate: a matrix-vector product may sum in
+        # another order and move the replicate means' last bits
+        sv = np.array([float(w[b] @ v) for b in range(BOOT_B)], np.float64)
+        sw = w.sum(axis=1).astype(np.int64)
         return pd.DataFrame({"b": np.arange(BOOT_B, dtype=np.int64),
                              "sv": sv, "sw": sw,
-                             "n": np.int64(len(v)),
+                             "n": np.int64(n),
                              "s": float(v.sum())})
 
     p = (ds.map_batches(partials, batch_format="pandas")
@@ -15115,9 +15112,9 @@ def events_selfjoin_size_f2(sf_dir: str):
     is worth keeping. Per-batch partial (bucket, user, n) counts
     pre-aggregate before one small shuffle; both moments are integer
     sums (no float drift)."""
-    import hashlib
-
     from ray.data.aggregate import Sum
+
+    from ..stages.md5np import md5_prefix64
 
     ds = _read(sf_dir, "events", ["user_id"])
 
@@ -15138,10 +15135,10 @@ def events_selfjoin_size_f2(sf_dir: str):
     # one Σn² row + ≤64 per-bucket partial sums; the driver merges
     # O(65 · blocks) fixed-width rows
     def moment_partials(df: pd.DataFrame) -> pd.DataFrame:
-        uids = df["user_id"].to_numpy()
         n = df["n"].to_numpy(np.int64)
-        b = np.array([int(hashlib.md5(str(u).encode()).hexdigest()[:8],
-                          16) % F2_BUCKETS for u in uids], np.int64)
+        h = md5_prefix64(pc.cast(pa.array(df["user_id"].to_numpy()),
+                                 pa.string()))
+        b = ((h >> np.uint64(32)) % np.uint64(F2_BUCKETS)).astype(np.int64)
         bs = pd.DataFrame({"bucket": b, "bn": n}) \
             .groupby("bucket")["bn"].sum()
         return pd.DataFrame({
@@ -15696,10 +15693,9 @@ def contrastive_negative_plan(sf_dir: str):
     a_ids = anchors["doc_id"].to_numpy(np.int64)
     a_src = anchors["source"].to_numpy()
 
-    import hashlib
-
     def topk_partial(df: pd.DataFrame) -> pd.DataFrame:
         cand = df["doc_id"].to_numpy(np.int64)
+        cstr = pc.cast(pa.array(cand), pa.string())
         csrc = df["source"].to_numpy()
         out_a, out_c, out_u = [], [], []
         for aid, asrc in zip(a_ids, a_src):
@@ -15707,10 +15703,8 @@ def contrastive_negative_plan(sf_dir: str):
             cc = cand[m]
             if not len(cc):
                 continue
-            u = np.array(
-                [int(hashlib.md5(f"neg:{aid}:{c}".encode())
-                     .hexdigest()[:8], 16) for c in cc],
-                np.float64) / 4294967296.0
+            u = md5_uniform(pc.binary_join_element_wise(
+                "neg", str(aid), cstr.filter(pa.array(m)), ":"))
             # (u, neg_id) tiebreak — the same ordering the driver
             # merge and the SQL row_number use, so an equal-u pair
             # straddling the per-batch cut keeps the right candidate
@@ -16752,25 +16746,26 @@ def lineitem_theil_sen(sf_dir: str):
     every top-k here); the C(200,2) slope median runs on the driver —
     the sample size, not the corpus, bounds it. Median = the exact
     lower-median order statistic with (slope, i, j) never
-    materialized in SQL beyond the same 19,900-row grid."""
-    import hashlib
+    materialized in SQL beyond the same 19,900-row grid. Equal
+    uniforms break on (l_orderkey, l_linenumber), in each batch's cut
+    and the driver's alike, so the sample is layout-independent."""
+    from ..stages.sketches import md5_uniform
 
     ds = _lineitem(sf_dir, ["l_orderkey", "l_linenumber", "l_quantity",
                             "l_extendedprice"])
+    order = ["u", "l_orderkey", "l_linenumber"]
 
-    def pick(df: pd.DataFrame) -> pd.DataFrame:
-        key = [f"ts:{o}:{l}" for o, l in
-               zip(df["l_orderkey"].to_numpy(),
-                   df["l_linenumber"].to_numpy())]
-        u = np.array([int(hashlib.md5(k.encode()).hexdigest()[:8], 16)
-                      for k in key], np.float64) / 4294967296.0
-        df = df.assign(u=u)
-        return df.nsmallest(TS_SAMPLE, ["u"])[
-            ["u", "l_quantity", "l_extendedprice"]]
+    def pick(t: pa.Table) -> pa.Table:
+        u = md5_uniform(pc.binary_join_element_wise(
+            "ts", pc.cast(t["l_orderkey"], pa.string()),
+            pc.cast(t["l_linenumber"], pa.string()), ":"))
+        t = t.append_column("u", pa.array(u, pa.float64()))
+        return t.sort_by([(c, "ascending") for c in order]) \
+            .slice(0, TS_SAMPLE)
 
-    s = (ds.map_batches(pick, batch_format="pandas")
-         .to_pandas().nsmallest(TS_SAMPLE, ["u"])
-         .sort_values("u").reset_index(drop=True))
+    s = (ds.map_batches(pick, batch_format="pyarrow")
+         .to_pandas().sort_values(order).head(TS_SAMPLE)
+         .reset_index(drop=True))
     x = s["l_quantity"].to_numpy(np.float64)
     y = s["l_extendedprice"].to_numpy(np.float64)
     i, j = np.triu_indices(len(x), k=1)
@@ -16788,13 +16783,14 @@ def lineitem_theil_sen(sf_dir: str):
 
 THEIL_SEN_SQL = f"""
 WITH u AS (
-  SELECT l_quantity AS x, l_extendedprice AS y,
+  SELECT l_orderkey, l_linenumber, l_quantity AS x, l_extendedprice AS y,
          ('0x' || substr(md5('ts:' || l_orderkey::VARCHAR || ':'
                              || l_linenumber::VARCHAR), 1, 8))::UBIGINT
            / 4294967296.0 AS u
   FROM lineitem),
-s AS (SELECT x, y, row_number() OVER (ORDER BY u) AS r FROM u
-      QUALIFY r <= {TS_SAMPLE}),
+s AS (SELECT x, y,
+             row_number() OVER (ORDER BY u, l_orderkey, l_linenumber) AS r
+      FROM u QUALIFY r <= {TS_SAMPLE}),
 sl AS (SELECT (b.y - a.y) / (b.x - a.x) AS slope
        FROM s a JOIN s b ON a.r < b.r AND b.x <> a.x),
 st AS (SELECT count(*) AS n FROM sl),

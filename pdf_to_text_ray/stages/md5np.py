@@ -1,4 +1,5 @@
-"""Vectorized single-block MD5 over sliding windows (numpy).
+"""Vectorized single-block MD5 (numpy): sliding text windows and
+short keys.
 
 ``curation._gram_hashes`` keys its content sampling on
 ``md5(gram)[:16]`` so the DuckDB oracle replays the IDENTICAL
@@ -11,14 +12,23 @@ as numpy ops over ALL window positions at once. This module implements
 exactly that: bit-identical digests (asserted against hashlib in
 tests), ~10-40× fewer Python-level operations.
 
-Scope: ASCII text only (char windows == byte windows; the sampled-gram
-oracle's ``substr`` is char-based). Non-ASCII docs take the scalar
-hashlib path in the caller.
+Two entry points share the compression kernel:
+
+- ``gram_select_hexes``: ASCII text only (char windows == byte
+  windows; the sampled-gram oracle's ``substr`` is char-based).
+  Non-ASCII docs take the scalar hashlib path in the caller.
+- ``md5_prefix64``: the first 8 digest bytes of every key of an Arrow
+  string array — the engine-portable md5 uniforms and hash samples
+  (``'0x' || substr(md5(key), 1, n)`` in DuckDB). Keys of any UTF-8
+  content up to 55 bytes take the kernel; longer keys take hashlib.
 """
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
+import pyarrow as pa
 
 # RFC 1321 constants
 _K = np.array([int(abs(np.sin(i + 1)) * 2 ** 32) & 0xFFFFFFFF
@@ -47,8 +57,11 @@ def md5_single_block(m: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     Allocation-free inner loop: every round writes into two scratch
     buffers with ``out=`` kernels, and the retiring state array is
     recycled as the next round's scratch — ~10 temporaries/round
-    otherwise dominate the wall time at cache-sized chunks."""
+    otherwise dominate the wall time at cache-sized chunks. The words
+    are transposed once so each round adds a contiguous word row, not
+    a 64-byte-strided column."""
     n = m.shape[0]
+    w = np.ascontiguousarray(m.T)
     a = np.full(n, _A0, np.uint32)
     b = np.full(n, _B0, np.uint32)
     c = np.full(n, _C0, np.uint32)
@@ -75,7 +88,7 @@ def md5_single_block(m: np.ndarray) -> tuple[np.ndarray, np.ndarray,
             t ^= c
         t += a
         t += _K[i]
-        t += m[:, _G[i]]
+        t += w[_G[i]]
         s = int(_S[i])
         np.right_shift(t, np.uint32(32 - s), out=u)  # in-place rotl
         t <<= np.uint32(s)
@@ -128,4 +141,54 @@ def gram_select_hexes(data: np.ndarray, k: int, rate: int) -> list[str]:
         pair[:, 1] = B[sel]
         hx = pair.tobytes().hex()
         out.extend(hx[i:i + 16] for i in range(0, len(hx), 16))
+    return out
+
+
+def md5_prefix64(keys) -> np.ndarray:
+    """First 8 md5 digest bytes of each key, as big-endian uint64.
+
+    ``keys`` is an Arrow string array, chunked or not; a null key
+    raises ``ValueError``. ``int(hexdigest()[:8], 16)`` is ``>> 32``
+    of the result and ``[:12]`` is ``>> 16``. Keys of ≤ 55 UTF-8 bytes
+    run through ``md5_single_block`` in slices of ``_CHUNK`` rows (a
+    whole-batch message matrix costs 64 B per key of worker memory);
+    longer keys fall back to hashlib, row by row."""
+    if isinstance(keys, pa.ChunkedArray):
+        keys = keys.combine_chunks()
+    if not pa.types.is_string(keys.type):
+        raise TypeError(f"md5_prefix64: string keys only, not {keys.type}")
+    if keys.null_count:
+        raise ValueError("md5_prefix64: null key")
+    n = len(keys)
+    out = np.empty(n, np.uint64)
+    if n == 0:
+        return out
+    _, obuf, dbuf = keys.buffers()
+    offs = np.frombuffer(obuf, np.int32)[keys.offset:keys.offset + n + 1] \
+        .astype(np.int64)
+    data = np.frombuffer(dbuf, np.uint8) if dbuf is not None \
+        else np.zeros(0, np.uint8)
+    lens = np.diff(offs)
+    for lo in range(0, n, _CHUNK):
+        hi = min(lo + _CHUNK, n)
+        ln = lens[lo:hi]
+        short = np.flatnonzero(ln <= 55)
+        ls, st = ln[short], offs[lo:hi][short]
+        # copy each key into its zeroed 64-byte row, one gather per
+        # distinct key length
+        msg = np.zeros((len(short), 64), np.uint8)
+        for k in np.unique(ls):
+            r = np.flatnonzero(ls == k)
+            msg[r, :k] = data[st[r, None] + np.arange(k)]
+        msg[np.arange(len(short)), ls] = 0x80
+        m = msg.view("<u4")
+        m[:, 14] = (ls * 8).astype(np.uint32)  # length in bits
+        A, B, _, _ = md5_single_block(m)
+        # digest bytes 0-3 are A little-endian, 4-7 are B
+        out[lo + short] = ((A.byteswap().astype(np.uint64) << np.uint64(32))
+                           | B.byteswap().astype(np.uint64))
+        for i in np.flatnonzero(ln > 55):
+            s = offs[lo + i]
+            out[lo + i] = int.from_bytes(hashlib.md5(
+                data[s:s + ln[i]].tobytes()).digest()[:8], "big")
     return out

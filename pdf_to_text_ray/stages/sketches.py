@@ -343,12 +343,20 @@ def md5_uniform(ids) -> np.ndarray:
     md5 hex digits / 2^32 — DuckDB computes the identical double via
     ('0x' || substr(md5(id::VARCHAR), 1, 8))::UBIGINT / 4294967296.0
     (property-tested exact in test_property.py). THE single source for
-    every split/sample that needs a portable uniform."""
-    import hashlib
+    every split/sample that needs a portable uniform.
 
-    return np.array(
-        [int(hashlib.md5(str(i).encode()).hexdigest()[:8], 16)
-         for i in ids], np.float64) / 4294967296.0
+    ``ids`` are integers or strings, in a list or an Arrow array; an
+    integer hashes as its decimal text. The digests come from the
+    vectorized ``md5np.md5_prefix64`` kernel."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    from .md5np import md5_prefix64
+
+    if not isinstance(ids, (pa.Array, pa.ChunkedArray)):
+        ids = pa.array(ids)
+    h = md5_prefix64(pc.cast(ids, pa.string())) >> np.uint64(32)
+    return h.astype(np.float64) / 4294967296.0
 
 
 def assign_split(ids, train: float = 0.8, val: float = 0.9) -> np.ndarray:

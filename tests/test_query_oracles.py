@@ -1,0 +1,152 @@
+"""Small-table oracle checks for queries whose aggregation is rewritten
+for speed: session spans, TPC-H Q1 partials, and the Theil–Sen sample
+cut under a planted uniform tie."""
+
+from __future__ import annotations
+
+import hashlib
+import os
+
+import numpy as np
+import pandas as pd
+import pyarrow as pa
+import pyarrow.parquet as pq
+import pytest
+
+SF = "/root/testdata/sf0.001"
+
+
+def _oracle(sql: str, tables: dict[str, str]) -> pd.DataFrame:
+    import duckdb
+
+    con = duckdb.connect()
+    for name, path in tables.items():
+        con.execute(f"CREATE VIEW {name} AS SELECT * FROM '{path}'")
+    return con.execute(sql).df()
+
+
+def _assert_same(got: pd.DataFrame, want: pd.DataFrame, keys: list[str]):
+    assert sorted(got.columns) == sorted(want.columns)
+    got = got[sorted(want.columns)].sort_values(keys).reset_index(drop=True)
+    want = want[sorted(want.columns)].sort_values(keys) \
+        .reset_index(drop=True)
+    assert len(got) == len(want)
+    for c in want.columns:
+        assert got[c].tolist() == want[c].tolist(), c
+
+
+def _events_table(path: str) -> None:
+    """Six users with multi-event sessions: sub-gap runs, 30-min steps
+    that the jitter pushes just past the gap, equal minutes broken by
+    event_id, single-event sessions (span 0) and microsecond spans."""
+    t0 = pd.Timestamp("2024-03-01 08:00:00")
+    us = pd.Timedelta(microseconds=1)
+    minute = pd.Timedelta(minutes=1)
+    rows = []
+    plans = {
+        1: [0, 5, 12, 12, 40 * 60, 40 * 60 + 29],       # 2 sessions
+        2: [0],                                           # 1 event
+        3: [0, 30, 60, 90, 200, 201, 202, 500],           # 30-min steps
+        4: [0, 31, 62, 93],                               # all breaks
+        5: [0, 1, 2, 3, 4, 5, 6, 7, 8, 9],                # one long run
+        6: [7, 7, 7, 300, 300],                           # ts ties
+    }
+    eid = 0
+    for uid, mins in plans.items():
+        for k, m in enumerate(mins):
+            eid += 1
+            # ~10 ms jitter with a microsecond residue
+            rows.append((eid, uid, t0 + m * minute
+                         + (uid * 7 + k * 13) * 10_007 * us))
+    df = pd.DataFrame(rows, columns=["event_id", "user_id", "ts"])
+    pq.write_table(pa.Table.from_pandas(
+        df.sample(frac=1.0, random_state=3), preserve_index=False)
+        .cast(pa.schema([("event_id", pa.int64()), ("user_id", pa.int64()),
+                         ("ts", pa.timestamp("us"))])), path)
+
+
+def test_session_stats_matches_oracle(ray_session, tmp_path):
+    from pdf_to_text_ray.pipelines.queries import (SESSION_STATS_SQL,
+                                                   session_stats_per_user)
+
+    d = str(tmp_path)
+    path = os.path.join(d, "events.parquet")
+    _events_table(path)
+    got = session_stats_per_user(d)
+    want = _oracle(SESSION_STATS_SQL, {"events": path})
+    assert (want["max_session_events"] > 1).sum() >= 4
+    assert (want["avg_span_sec"] > 0).sum() >= 4
+    _assert_same(got, want, ["user_id"])
+
+
+@pytest.mark.parametrize("blocks", [1, 8])
+def test_q1_matches_oracle_at_any_block_count(ray_session, monkeypatch,
+                                              blocks):
+    from pdf_to_text_ray.pipelines import queries
+
+    monkeypatch.setattr(queries, "_blocks_for", lambda path: blocks)
+    got = queries.q1_pricing_summary(SF)
+    want = _oracle(queries.Q1_SQL,
+                   {"lineitem": f"{SF}/lineitem.parquet"})
+    assert len(want) >= 4
+    _assert_same(got, want, ["l_returnflag", "l_linestatus"])
+
+
+# Two Theil–Sen sample keys whose md5 uniforms are equal (a 32-bit
+# collision of md5('ts:o:l')[:8], found by scanning o ≤ 100,000).
+_TIE_SMALL = (6744, 6)
+_TIE_LARGE = (16596, 2)
+
+
+def _ts_u(o: int, ln: int) -> int:
+    return int(hashlib.md5(f"ts:{o}:{ln}".encode()).hexdigest()[:8], 16)
+
+
+def _ts_median(rows: list[tuple]) -> float:
+    x = np.array([r[2] for r in rows], np.float64)
+    y = np.array([r[3] for r in rows], np.float64)
+    i, j = np.triu_indices(len(x), k=1)
+    dx = x[j] - x[i]
+    keep = dx != 0
+    slopes = np.sort((y[j] - y[i])[keep] / dx[keep])
+    return float(slopes[(len(slopes) - 1) // 2])
+
+
+def test_theil_sen_tie_at_the_cut(ray_session, monkeypatch, tmp_path):
+    """The tied pair sits at sample ranks 200/201: the kept row must be
+    the one with the smaller (l_orderkey, l_linenumber), whatever the
+    file order or block count."""
+    from pdf_to_text_ray.pipelines import queries
+
+    n = queries.TS_SAMPLE
+    tie = _ts_u(*_TIE_SMALL)
+    assert _ts_u(*_TIE_LARGE) == tie
+    below, above = [], []
+    for o in range(1, 400):
+        for ln in range(1, 8):
+            (below if _ts_u(o, ln) < tie else above).append((o, ln))
+    assert len(below) >= n - 1 and len(above) >= 60
+    rng = np.random.default_rng(5)
+    keys = [_TIE_LARGE, _TIE_SMALL] + below[:n - 1] + above[:60]
+    rows = [(o, ln, float(rng.integers(1, 51)),
+             round(float(rng.uniform(900, 90000)), 2)) for o, ln in keys]
+    # the larger key comes first in the file, so first-seen order
+    # would keep it
+    want = _ts_median([rows[1]] + rows[2:n + 1])
+    assert want != _ts_median([rows[0]] + rows[2:n + 1])
+
+    d = str(tmp_path)
+    path = os.path.join(d, "lineitem.parquet")
+    pq.write_table(pa.table({
+        "l_orderkey": pa.array([r[0] for r in rows], pa.int64()),
+        "l_linenumber": pa.array([r[1] for r in rows], pa.int32()),
+        "l_quantity": pa.array([r[2] for r in rows], pa.float64()),
+        "l_extendedprice": pa.array([r[3] for r in rows], pa.float64()),
+    }), path)
+    oracle = _oracle(queries.THEIL_SEN_SQL, {"lineitem": path}).iloc[0]
+    assert oracle["theil_sen_slope"] == queries.round6(want)
+    for blocks in (1, 8):
+        monkeypatch.setattr(queries, "_blocks_for", lambda p, b=blocks: b)
+        got = queries.lineitem_theil_sen(d).iloc[0]
+        assert got["n_sample"] == n
+        assert got["theil_sen_slope"] == queries.round6(want), blocks
