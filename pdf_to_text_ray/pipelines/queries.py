@@ -27,13 +27,19 @@ import pyarrow.compute as pc
 from pdf_to_text_ray.stages.groups import arrow_out
 
 
-# The driver tables are ONE parquet file with ONE row group each;
-# Ray's default ~64-block split of a single row group RE-DECODES the
-# whole group per block (measured: neardup_minhash 6.3 s at default
-# blocks vs 2.2 s at 8; TPC-H Q1 0.77 s at 16 vs 1.26 s at 64 — decode
-# amplification outweighs map parallelism). Blocks scale with row count
-# (footer-only metadata read); many-file corpus reads keep Ray's
-# default.
+# A Ray Data map task costs 10-15 ms of CPU across the process tree
+# whatever its input (4 vCPU: an identity map over ``range(1000)``
+# costs 0.04-0.08 s in 1 block, 0.16-0.19 s in 8, 0.42-0.49 s in 32),
+# while decoding the whole 1.2 MB sf0.01 lineitem in-process takes
+# about 8 ms — so a small table pays for its task count, not its
+# bytes. Blocks therefore follow the file's uncompressed bytes
+# (footer-only metadata read): one per _BLOCK_BYTES, 1 to 16.
+# 256 KiB rather than Ray's 1 MiB target_min_block_size: against a
+# fixed 8 blocks, 256 KiB cut query_suite job CPU 38% with worker peak
+# RSS within 1%; 1 MiB cut CPU further, but its busiest worker peaked
+# 7% above 256 KiB's. Many-file corpus reads keep Ray's default.
+_BLOCK_BYTES = 256 * 1024
+_MAX_BLOCKS = 16
 _BLOCKS_CACHE: dict[str, int] = {}
 
 
@@ -42,8 +48,10 @@ def _blocks_for(path: str) -> int:
     if b is None:
         import pyarrow.parquet as pq
 
-        rows = pq.ParquetFile(path).metadata.num_rows
-        b = 16 if rows > 200_000 else 8
+        md = pq.ParquetFile(path).metadata
+        size = sum(md.row_group(i).total_byte_size
+                   for i in range(md.num_row_groups))
+        b = min(_MAX_BLOCKS, max(1, -(-size // _BLOCK_BYTES)))
         _BLOCKS_CACHE[path] = b
     return b
 
@@ -105,6 +113,16 @@ def round6(x):
     return np.copysign(np.floor(np.abs(y) + 0.5), y) / 1e6
 
 
+def cents(x) -> np.ndarray:
+    """DuckDB ``CAST(round(x * 100) AS BIGINT)`` parity: x·100 rounded
+    half away from zero, as int64. The fixed-point money sums (Q1, Q9,
+    RFM) add these, so their totals carry no float-order noise; on
+    values of at most 2 decimals x·100 sits within float noise of an
+    integer and no tie arises."""
+    y = np.asarray(x, dtype=np.float64) * 100.0
+    return np.copysign(np.floor(np.abs(y) + 0.5), y).astype(np.int64)
+
+
 # ── relational ops (SURVEY.md §2.5-2.6) ───────────────────────────────
 
 def q1_pricing_summary(sf_dir: str):
@@ -134,8 +152,8 @@ def q1_pricing_summary(sf_dir: str):
                                    pa.scalar(pd.Timestamp("1998-09-01"))))
         p = t["l_extendedprice"].to_numpy(zero_copy_only=False)
         d = t["l_discount"].to_numpy(zero_copy_only=False)
-        pc_ = np.rint(p * 100.0).astype(np.int64)
-        dc = np.rint((1.0 - d) * 100.0).astype(np.int64)
+        pc_ = cents(p)
+        dc = cents(1.0 - d)
         r = pa.table({
             "l_returnflag": t["l_returnflag"],
             "l_linestatus": t["l_linestatus"],
@@ -7690,7 +7708,14 @@ def q9_profit_by_nation_year(sf_dir: str):
     is the bucketed fact-fact edge; part (price + name predicate) and
     supplier→nation ship once as broadcast sorted arrays (bounded by
     catalog size — the Q5/Q7 dimension pattern); per-batch partials
-    keep the final groupby at |nation|×|year| rows."""
+    keep the final groupby at |nation|×|year| rows, so they merge on
+    the driver with no exchange.
+
+    Profit sums in exact int64 units of 1e-4 (Q1's fixed-point
+    scheme): prices and discounts have 2 decimals and ``l_quantity``
+    holds integers, so cents(E)·(100 − cents(D)) − cents(R)·Q is exact
+    per row and the sums carry no float-order noise — the
+    float form flipped a cent at sf0.001 with the table in 1 block."""
     import ray
 
     from pdf_to_text_ray.stages.joins import bucketed_hash_join
@@ -7735,35 +7760,36 @@ def q9_profit_by_nation_year(sf_dir: str):
         pidx = np.clip(np.searchsorted(pk, lp), 0, max(len(pk) - 1, 0))
         ls = b["l_suppkey"].to_numpy()
         sidx = np.clip(np.searchsorted(sk, ls), 0, len(sk) - 1)
-        profit = (b["l_extendedprice"].to_numpy()
-                  * (1.0 - b["l_discount"].to_numpy())
-                  - 0.01 * price[pidx] * b["l_quantity"].to_numpy())
+        profit = (cents(b["l_extendedprice"])
+                  * (100 - cents(b["l_discount"]))
+                  - cents(price[pidx])
+                  * b["l_quantity"].to_numpy().astype(np.int64))
         part = pd.DataFrame({
             "n_nationkey": sn[sidx],
             "o_year": b["o_orderdate"].dt.year.to_numpy(),
-            "sum_profit": profit})
+            "profit_u": profit})
         return arrow_out(part.groupby(["n_nationkey", "o_year"],
                                       as_index=False).sum())
 
-    from ray.data.aggregate import Sum
-
     agg = (joined.map_batches(profit_partial, batch_format="pyarrow")
-           .groupby(["n_nationkey", "o_year"])
-           .aggregate(Sum("sum_profit", alias_name="sum_profit"))
-           .to_pandas())
+           .to_pandas()
+           .groupby(["n_nationkey", "o_year"], as_index=False).sum())
     names = _read(sf_dir, "nation", ["n_nationkey", "n_name"]).to_pandas()
     agg["nation"] = agg["n_nationkey"].map(
         dict(zip(names["n_nationkey"], names["n_name"])))
     agg["o_year"] = agg["o_year"].astype("int64")
-    agg["sum_profit"] = round2(agg["sum_profit"])
+    agg["sum_profit"] = round2(agg["profit_u"].astype("int64") / 10000.0)
     return (agg[["nation", "o_year", "sum_profit"]]
             .sort_values(["nation", "o_year"]).reset_index(drop=True))
 
 
 Q9_SQL = """
 SELECT n_name AS nation, year(o_orderdate)::BIGINT AS o_year,
-       round(sum(l_extendedprice * (1 - l_discount)
-                 - 0.01 * p_retailprice * l_quantity), 2) AS sum_profit
+       round(sum(CAST(round(l_extendedprice * 100) AS BIGINT)
+                 * (100 - CAST(round(l_discount * 100) AS BIGINT))
+                 - CAST(round(p_retailprice * 100) AS BIGINT)
+                 * CAST(l_quantity AS BIGINT)) / 10000.0, 2)
+         AS sum_profit
 FROM lineitem JOIN orders ON o_orderkey = l_orderkey
 JOIN supplier ON s_suppkey = l_suppkey
 JOIN nation ON n_nationkey = s_nationkey
@@ -14569,6 +14595,9 @@ for _k in range(_POIS_MAX):
     _POIS_CUM[_k] = _c
     _term /= (_k + 1)
 _POIS_CUM_ARR = np.array(_POIS_CUM, np.float64)
+# events per bootstrap batch: bounds the B × n key grid (≈100 k keys)
+# so a worker's peak memory does not follow the read's block size
+_POIS_BATCH = 1024
 
 
 def poisson_bootstrap_value_ci(sf_dir: str):
@@ -14576,13 +14605,14 @@ def poisson_bootstrap_value_ci(sf_dir: str):
     web-scale bootstrap (Chamandy et al., Google 2012): sampling with
     replacement from a distributed table is not streamable, but
     per-row independent Poisson(1) replicate weights are — each batch
-    emits only B=100 partial (Σw·v, Σw) rows, the driver merges
-    O(B·blocks) partials, and the CI is two order statistics of the
-    replicate means. Weights come from the engine-portable md5
-    uniform inverted through the Poisson CDF (thresholds shared
-    verbatim with the oracle), so DuckDB replays the exact weight
-    grid. NULL values drop before weighting (ADVICE r05 precedent);
-    bounds round 6 dp (partial-sum-order noise is ~1e-12)."""
+    of ≤ _POIS_BATCH events emits only B=100 partial (Σw·v, Σw) rows,
+    the driver merges O(B·batches) partials, and the CI is two order
+    statistics of the replicate means. Weights come from the
+    engine-portable md5 uniform inverted through the Poisson CDF
+    (thresholds shared verbatim with the oracle), so DuckDB replays the
+    exact weight grid. NULL values drop before weighting (ADVICE r05
+    precedent); bounds round 6 dp (partial-sum-order noise is
+    ~1e-12)."""
     from ..stages.sketches import md5_uniform
 
     ds = _read(sf_dir, "events", ["event_id", "value"])
@@ -14594,7 +14624,8 @@ def poisson_bootstrap_value_ci(sf_dir: str):
         v = v[keep]
         n = len(v)
         ids = pc.cast(pa.array(df["event_id"].to_numpy()[keep]), pa.string())
-        # the whole (replicate, event) key grid in one kernel call
+        # the batch's whole (replicate, event) key grid in one kernel
+        # call: B × ≤ _POIS_BATCH keys, whatever the block size
         grid = pc.binary_join_element_wise(
             "boot", ids.take(np.tile(np.arange(n), BOOT_B)),
             reps.take(np.repeat(np.arange(BOOT_B), n)), ":")
@@ -14609,9 +14640,10 @@ def poisson_bootstrap_value_ci(sf_dir: str):
                              "n": np.int64(n),
                              "s": float(v.sum())})
 
-    p = (ds.map_batches(partials, batch_format="pandas")
-         .to_pandas())                       # O(B · blocks) rows only
-    b0 = p[p["b"] == 0]                      # one row per block
+    p = (ds.map_batches(partials, batch_format="pandas",
+                        batch_size=_POIS_BATCH)
+         .to_pandas())                       # O(B · batches) rows only
+    b0 = p[p["b"] == 0]                      # one row per batch
     n = int(b0["n"].sum())
     total = float(b0["s"].sum())
     g = p.groupby("b", sort=True).agg(sv=("sv", "sum"), sw=("sw", "sum"))
@@ -15755,23 +15787,37 @@ ORDER BY anchor_id, rank
 def user_rfm_segments(sf_dir: str):
     """RFM segmentation of purchasers: recency (full days since last
     purchase at the corpus horizon), frequency (purchase count),
-    monetary (value sum), each binned into quartiles by the corpus-
+    monetary (value sum, in exact int64 cents: a float sum of the same
+    values in another order can land on either side of a quartile
+    edge), each binned into quartiles by the corpus-
     wide quantile_disc thresholds — bin = 1 + #thresholds strictly
     below the metric, so ties bin identically in both engines without
     a global ntile SORT (the quartile edges come from the streaming
     refinement engine; assignment is a pure map over the per-user
-    aggregate). segment = r·100 + f·10 + m, r_bin 1 = most recent."""
+    aggregate). segment = r·100 + f·10 + m, r_bin 1 = most recent.
+
+    ``events.value`` holds at most 2 decimals (checked at sf0.001,
+    sf0.01 and sf0.1; the benchmark generator rounds to 2), so the
+    cents are exact and ``m`` equals the value sum. Finer values would
+    round to the cent, half away from zero, per row in both engines."""
     from ray.data.aggregate import Count, Max, Sum
 
     from ..stages.quantiles import exact_quantiles
 
+    def add_cents(t: pa.Table) -> pa.Table:
+        v = t["value"]
+        c = pa.array(cents(v.to_numpy(zero_copy_only=False)), pa.int64(),
+                     mask=pc.is_null(v).to_numpy(zero_copy_only=False))
+        return t.drop_columns(["value"]).append_column("m_c", c)
+
     ds = (_read(sf_dir, "events", ["user_id", "event_type", "ts",
                                    "value"])
-          .filter(expr="event_type == 'purchase'"))
+          .filter(expr="event_type == 'purchase'")
+          .map_batches(add_cents, batch_format="pyarrow"))
     per_user = (ds.groupby("user_id")
                 .aggregate(Max("ts", alias_name="last_ts"),
                            Count(alias_name="f"),
-                           Sum("value", alias_name="m"))
+                           Sum("m_c", alias_name="m_c"))
                 .materialize())     # consumed 4× (3 quantile passes + map)
     horizon = per_user.max("last_ts")
 
@@ -15785,7 +15831,7 @@ def user_rfm_segments(sf_dir: str):
     pu = per_user.map_batches(add_r, batch_format="pyarrow") \
         .materialize()
     edges = {}
-    for col in ("r_days", "f", "m"):
+    for col in ("r_days", "f", "m_c"):
         edges[col] = exact_quantiles(pu, col, [0.25, 0.5, 0.75],
                                      n_buckets=64, collect_cap=500) \
             ["value"].to_numpy(np.float64)
@@ -15794,10 +15840,9 @@ def user_rfm_segments(sf_dir: str):
         out = {"user_id": pc.cast(t["user_id"], pa.int64()),
                "r_days": t["r_days"],
                "f": pc.cast(t["f"], pa.int64()),
-               "m": pa.array(round6(
-                   t["m"].to_numpy(zero_copy_only=False)), pa.float64())}
+               "m": pc.divide(pc.cast(t["m_c"], pa.float64()), 100.0)}
         bins = {}
-        for col in ("r_days", "f", "m"):
+        for col in ("r_days", "f", "m_c"):
             x = t[col].to_numpy(zero_copy_only=False).astype(np.float64)
             b = np.ones(len(x), np.int64)
             for e in edges[col]:
@@ -15805,9 +15850,9 @@ def user_rfm_segments(sf_dir: str):
             bins[col] = b
         out["r_bin"] = pa.array(bins["r_days"], pa.int64())
         out["f_bin"] = pa.array(bins["f"], pa.int64())
-        out["m_bin"] = pa.array(bins["m"], pa.int64())
+        out["m_bin"] = pa.array(bins["m_c"], pa.int64())
         out["segment"] = pa.array(
-            bins["r_days"] * 100 + bins["f"] * 10 + bins["m"],
+            bins["r_days"] * 100 + bins["f"] * 10 + bins["m_c"],
             pa.int64())
         return pa.table(out)
 
@@ -15816,28 +15861,28 @@ def user_rfm_segments(sf_dir: str):
 
 RFM_SQL = """
 WITH p AS (SELECT user_id, max(ts) AS last_ts, count(*) AS f,
-                  sum(value) AS m
+                  sum(CAST(round(value * 100) AS BIGINT))::BIGINT AS m_c
            FROM events WHERE event_type = 'purchase'
            GROUP BY user_id),
 h AS (SELECT max(last_ts) AS horizon FROM p),
 r AS (SELECT user_id,
              floor(epoch(h.horizon - last_ts) / 86400)::BIGINT AS r_days,
-             f, m
+             f, m_c
       FROM p, h),
 e AS (SELECT quantile_disc(r_days, [0.25, 0.5, 0.75]) AS er,
              quantile_disc(f, [0.25, 0.5, 0.75]) AS ef,
-             quantile_disc(m, [0.25, 0.5, 0.75]) AS em
+             quantile_disc(m_c, [0.25, 0.5, 0.75]) AS em
       FROM r),
-b AS (SELECT user_id, r_days, f, round(m, 6) AS m,
+b AS (SELECT user_id, r_days, f, m_c::DOUBLE / 100 AS m,
              1 + (CASE WHEN r_days > er[1] THEN 1 ELSE 0 END)
                + (CASE WHEN r_days > er[2] THEN 1 ELSE 0 END)
                + (CASE WHEN r_days > er[3] THEN 1 ELSE 0 END) AS r_bin,
              1 + (CASE WHEN f > ef[1] THEN 1 ELSE 0 END)
                + (CASE WHEN f > ef[2] THEN 1 ELSE 0 END)
                + (CASE WHEN f > ef[3] THEN 1 ELSE 0 END) AS f_bin,
-             1 + (CASE WHEN m > em[1] THEN 1 ELSE 0 END)
-               + (CASE WHEN m > em[2] THEN 1 ELSE 0 END)
-               + (CASE WHEN m > em[3] THEN 1 ELSE 0 END) AS m_bin
+             1 + (CASE WHEN m_c > em[1] THEN 1 ELSE 0 END)
+               + (CASE WHEN m_c > em[2] THEN 1 ELSE 0 END)
+               + (CASE WHEN m_c > em[3] THEN 1 ELSE 0 END) AS m_bin
       FROM r, e)
 SELECT user_id, r_days, f::BIGINT AS f, m,
        r_bin::BIGINT AS r_bin, f_bin::BIGINT AS f_bin,
@@ -16497,7 +16542,10 @@ def view_purchase_kaplan_meier(sf_dir: str):
         v = (df[df["event_type"] == "view"]
              .groupby("user_id")["ts"].min().rename("t_view"))
         pur = df[df["event_type"] == "purchase"]
-        out = v.reset_index()
+        # every user of the bucket, viewer or not: a bucket without
+        # viewers still reports its latest event for the horizon
+        out = pd.DataFrame({"user_id": df["user_id"].unique()}).merge(
+            v.reset_index(), on="user_id", how="left")
         m = out.merge(pur[["user_id", "ts"]], on="user_id", how="left")
         m = m[m["ts"].isna() | (m["ts"] >= m["t_view"])]
         first_p = (m.dropna(subset=["ts"])
@@ -16509,7 +16557,8 @@ def view_purchase_kaplan_meier(sf_dir: str):
 
     per_user = (bucketed_group_apply(ds, "user_id", per_bucket)
                 .to_pandas())
-    horizon = per_user["local_max"].max()
+    horizon = per_user["local_max"].max()      # max(ts) of all events
+    per_user = per_user[per_user["t_view"].notna()]
     conv = per_user["t_p"].notna().to_numpy()
     end = per_user["t_p"].fillna(horizon)
     # exact integer microseconds — a float-seconds cast would round

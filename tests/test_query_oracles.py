@@ -1,6 +1,8 @@
-"""Small-table oracle checks for queries whose aggregation is rewritten
-for speed: session spans, TPC-H Q1 partials, and the Theil–Sen sample
-cut under a planted uniform tie."""
+"""Small-table oracle checks for queries whose results must not depend
+on how the tables are split: session spans, the TPC-H Q1 and Q9
+fixed-point sums and their cent rounding, the byte-sized read block
+count, the pinned benchmark queries at 1 and 8 blocks, the Theil–Sen sample cut under a planted uniform tie, the Kaplan–Meier
+horizon and RFM monetary bins at a planted quartile-edge tie."""
 
 from __future__ import annotations
 
@@ -12,6 +14,10 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
+
+# the real byte rule, bound before the autouse fixture in conftest.py
+# patches ``queries._blocks_for`` to 8 blocks for every test
+from pdf_to_text_ray.pipelines.queries import _blocks_for as byte_blocks
 
 SF = "/root/testdata/sf0.001"
 
@@ -150,3 +156,137 @@ def test_theil_sen_tie_at_the_cut(ray_session, monkeypatch, tmp_path):
         got = queries.lineitem_theil_sen(d).iloc[0]
         assert got["n_sample"] == n
         assert got["theil_sen_slope"] == queries.round6(want), blocks
+
+
+@pytest.mark.parametrize("blocks", [1, 8])
+def test_q9_matches_oracle_at_any_block_count(ray_session, monkeypatch,
+                                              blocks):
+    """At sf0.001 the NATION_8/1995 profit sum lies within float noise
+    of a half-cent edge: its rounding must not follow the block count."""
+    from pdf_to_text_ray.pipelines import queries
+
+    monkeypatch.setattr(queries, "_blocks_for", lambda path: blocks)
+    got = queries.q9_profit_by_nation_year(SF)
+    want = _oracle(queries.Q9_SQL, {t: f"{SF}/{t}.parquet" for t in (
+        "lineitem", "orders", "supplier", "nation", "part")})
+    assert len(want) >= 50
+    _assert_same(got, want, ["nation", "o_year"])
+
+
+@pytest.mark.parametrize("blocks", [1, 8])
+def test_pinned_queries_match_oracles_at_any_block_count(
+        ray_session, monkeypatch, blocks):
+    """The benchmark's pinned queries, with every table in one block and
+    in eight: sf0.001 tables read as one block by default, so this keeps
+    the multi-block partial merges under test."""
+    from perfbench.inputs import PINNED_QUERIES
+    from pdf_to_text_ray.pipelines import queries
+    from tools.check_oracles import TABLES, to_pandas, value_hash
+
+    monkeypatch.setattr(queries, "_blocks_for", lambda path: blocks)
+    tables = {t: f"{SF}/{t}.parquet" for t in TABLES}
+    for name in PINNED_QUERIES:
+        got = to_pandas(queries.QUERIES[name](SF))
+        want = _oracle(queries.ORACLE_SQL[name], tables)
+        assert len(got) == len(want), name
+        assert sorted(got.columns) == sorted(want.columns), name
+        assert value_hash(got) == value_hash(want), name
+
+
+def test_kaplan_meier_horizon_from_all_events(ray_session, tmp_path):
+    """The latest event belongs to a user who never views, alone in a
+    user bucket with no viewers: the censoring horizon must still be
+    that event's ts, which keeps censored viewer B at risk at the
+    purchase time of A."""
+    from pdf_to_text_ray.pipelines.queries import (
+        KM_SQL, view_purchase_kaplan_meier)
+    from pdf_to_text_ray.stages.groups import stable_bucket
+
+    a, b = 1, 2
+    taken = set(stable_bucket(np.array([a, b]), 32))
+    x = next(u for u in range(3, 1000)
+             if stable_bucket(np.array([u]), 32)[0] not in taken)
+    t0 = pd.Timestamp("2024-03-01 08:00:00")
+    hour = pd.Timedelta(hours=1)
+    rows = [(a, "view", t0), (a, "purchase", t0 + 10 * hour),
+            (b, "view", t0 + 5 * hour), (b, "click", t0 + 6 * hour),
+            (x, "click", t0 + 100 * hour), (x, "purchase", t0 + 2 * hour)]
+    path = os.path.join(str(tmp_path), "events.parquet")
+    pq.write_table(pa.table({
+        "event_id": pa.array(range(1, len(rows) + 1), pa.int64()),
+        "user_id": pa.array([r[0] for r in rows], pa.int64()),
+        "event_type": [r[1] for r in rows],
+        "ts": pa.array([r[2] for r in rows], pa.timestamp("us")),
+    }), path)
+    want = _oracle(KM_SQL, {"events": path})
+    assert want["n_risk"].tolist() == [2]
+    assert want["survival"].tolist() == [0.5]
+    got = view_purchase_kaplan_meier(str(tmp_path))
+    _assert_same(got, want, ["t_us"])
+
+
+def test_rfm_monetary_tie_at_a_quartile_edge(ray_session, monkeypatch,
+                                             tmp_path):
+    """Four purchasers spend exactly 0.60, but their float sums differ
+    in the last bit (0.1+0.2+0.3 and 0.2+0.4 exceed 0.6), and the
+    median edge falls on that value: all four must share one m_bin in
+    the query and in the oracle, at any block count."""
+    from pdf_to_text_ray.pipelines import queries
+
+    spend = {1: [0.6], 2: [0.1, 0.2, 0.3], 3: [0.3, 0.3], 4: [0.2, 0.4],
+             5: [5.0], 6: [7.0], 7: [0.05], 8: [0.01]}
+    tied = [1, 2, 3, 4]
+    assert sum(spend[2]) > 0.6 and sum(spend[4]) > 0.6
+    t0 = pd.Timestamp("2024-03-01 08:00:00")
+    rows = []
+    for uid, values in spend.items():
+        for k, v in enumerate(values):
+            rows.append((uid, "purchase",
+                         t0 + pd.Timedelta(days=uid, hours=k), v))
+    rows.append((9, "view", t0, 1.0))
+    path = os.path.join(str(tmp_path), "events.parquet")
+    pq.write_table(pa.table({
+        "event_id": pa.array(range(1, len(rows) + 1), pa.int64()),
+        "user_id": pa.array([r[0] for r in rows], pa.int64()),
+        "event_type": [r[1] for r in rows],
+        "ts": pa.array([r[2] for r in rows], pa.timestamp("us")),
+        "value": pa.array([r[3] for r in rows], pa.float64()),
+    }), path)
+    want = _oracle(queries.RFM_SQL, {"events": path})
+    bins = dict(zip(want["user_id"], want["m_bin"]))
+    assert len({bins[u] for u in tied}) == 1
+    assert len(set(bins.values())) >= 3
+    for blocks in (1, 8):
+        monkeypatch.setattr(queries, "_blocks_for", lambda p, b=blocks: b)
+        got = queries.user_rfm_segments(str(tmp_path)).to_pandas()
+        _assert_same(got, want, ["user_id"])
+
+
+def test_blocks_follow_uncompressed_bytes(monkeypatch):
+    """One block per 256 KiB of uncompressed row groups, 1 to 16."""
+    from pdf_to_text_ray.pipelines import queries
+
+    lineitem_01 = os.path.join(os.path.dirname(SF), "sf0.01",
+                               "lineitem.parquet")
+    monkeypatch.setattr(queries, "_BLOCKS_CACHE", {})
+    assert byte_blocks(f"{SF}/nation.parquet") == 1
+    assert byte_blocks(f"{SF}/lineitem.parquet") == 1
+    assert byte_blocks(lineitem_01) == 5
+    monkeypatch.setattr(queries, "_BLOCKS_CACHE", {})
+    monkeypatch.setattr(queries, "_BLOCK_BYTES", 1024)
+    assert byte_blocks(lineitem_01) == 16
+
+
+def test_cents_matches_duckdb_rounding():
+    """Half away from zero, as DuckDB's round: 0.125·100 is exactly
+    12.5, where numpy's rint would give 12."""
+    import duckdb
+
+    from pdf_to_text_ray.pipelines.queries import cents
+
+    xs = [0.125, -0.125, 0.375, 2.675, 1.005, 19.99, -3.33, 0.0, 0.001,
+          901.49, 1e-9]
+    want = [duckdb.sql(f"SELECT CAST(round({x!r}::DOUBLE * 100) AS BIGINT)")
+            .fetchone()[0] for x in xs]
+    assert cents(np.array(xs)).tolist() == want
+    assert want[:3] == [13, -13, 38]

@@ -2,7 +2,11 @@
 entry at a given sf and compare with oracle_sql() via DuckDB
 (row-count + column names + order-insensitive value-hash).
 
-Usage: python tools/check_oracles.py [sf_dir] [name ...]
+Usage: python tools/check_oracles.py [--blocks N] [sf_dir] [name ...]
+
+``--blocks N`` reads every table in N blocks (it patches
+``queries._blocks_for``) instead of the program's byte-sized count, to
+check that results do not depend on the partitioning.
 
 This process and its Ray workers import the package from the checkout
 this script lives in, whatever the working directory or ``PYTHONPATH``.
@@ -10,6 +14,7 @@ this script lives in, whatever the working directory or ``PYTHONPATH``.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import os
 import sys
@@ -53,8 +58,13 @@ def value_hash(df: pd.DataFrame) -> str:
 
 
 def main():
-    sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
-    only = set(sys.argv[2:])
+    ap = argparse.ArgumentParser()
+    ap.add_argument("sf_dir", nargs="?", default="/root/testdata/sf0.01")
+    ap.add_argument("names", nargs="*")
+    ap.add_argument("--blocks", type=int, default=None,
+                    help="read every table in this many blocks")
+    args = ap.parse_args()
+    sf_dir, only = args.sf_dir, set(args.names)
 
     import ray
 
@@ -67,6 +77,11 @@ def main():
     ray.init(address="local", num_cpus=8, include_dashboard=False,
              logging_level="ERROR")
     import __ray_entry__ as entrymod
+
+    if args.blocks is not None:
+        from pdf_to_text_ray.pipelines import queries
+
+        queries._blocks_for = lambda path: args.blocks
 
     con = duckdb.connect()
     for t in TABLES:
