@@ -31,28 +31,35 @@ from pdf_to_text_ray.stages.groups import arrow_out
 # whatever its input (4 vCPU: an identity map over ``range(1000)``
 # costs 0.04-0.08 s in 1 block, 0.16-0.19 s in 8, 0.42-0.49 s in 32),
 # while decoding the whole 1.2 MB sf0.01 lineitem in-process takes
-# about 8 ms — so a small table pays for its task count, not its
-# bytes. Blocks therefore follow the file's uncompressed bytes
-# (footer-only metadata read): one per _BLOCK_BYTES, 1 to 16.
+# about 8 ms — so a small read pays for its task count, not its
+# bytes. Blocks therefore follow the uncompressed bytes of the column
+# chunks the read decodes (footer-only metadata): one per
+# _BLOCK_BYTES, 1 to 16. Two of lineitem's 11 columns are 12-26% of
+# its bytes; sizing by the projection (with two exchanges turned into
+# per-batch partials) cut one pinned-suite pass from 173 to 85 Ray
+# tasks.
 # 256 KiB rather than Ray's 1 MiB target_min_block_size: against a
 # fixed 8 blocks, 256 KiB cut query_suite job CPU 38% with worker peak
 # RSS within 1%; 1 MiB cut CPU further, but its busiest worker peaked
 # 7% above 256 KiB's. Many-file corpus reads keep Ray's default.
 _BLOCK_BYTES = 256 * 1024
 _MAX_BLOCKS = 16
-_BLOCKS_CACHE: dict[str, int] = {}
+_BLOCKS_CACHE: dict[tuple, int] = {}
 
 
-def _blocks_for(path: str) -> int:
-    b = _BLOCKS_CACHE.get(path)
+def _blocks_for(path: str, columns=None) -> int:
+    key = (path, tuple(columns) if columns else None)
+    b = _BLOCKS_CACHE.get(key)
     if b is None:
         import pyarrow.parquet as pq
 
         md = pq.ParquetFile(path).metadata
-        size = sum(md.row_group(i).total_byte_size
-                   for i in range(md.num_row_groups))
+        chunks = [md.row_group(i).column(j) for i in range(md.num_row_groups)
+                  for j in range(md.num_columns)]
+        size = sum(c.total_uncompressed_size for c in chunks if not columns
+                   or c.path_in_schema.split(".")[0] in columns)
         b = min(_MAX_BLOCKS, max(1, -(-size // _BLOCK_BYTES)))
-        _BLOCKS_CACHE[path] = b
+        _BLOCKS_CACHE[key] = b
     return b
 
 
@@ -76,6 +83,8 @@ def _clean_schema(path: str) -> "pa.Schema":
 
 
 def _read(sf_dir: str, name: str, columns=None):
+    """Read one table as a Dataset in ``_blocks_for(path, columns)``
+    blocks: the count follows the bytes of the projected columns."""
     import ray.data as rd
 
     from pdf_to_text_ray.stages.groups import _meta_free
@@ -93,7 +102,7 @@ def _read(sf_dir: str, name: str, columns=None):
         if columns else full
     return rd.read_parquet(
         path, columns=columns, schema=schema,
-        override_num_blocks=_blocks_for(path)
+        override_num_blocks=_blocks_for(path, columns)
     ).map_batches(_meta_free, batch_format="pyarrow")
 
 
@@ -5010,8 +5019,8 @@ def domain_stats(sf_dir: str):
             sum_chars=("n_chars", "sum"))
         return g
 
-    agg = (docs.map_batches(lambda b: arrow_out(partial(b)),
-                            batch_format="pandas")
+    agg = (docs.map_batches(lambda t: arrow_out(partial(t.to_pandas())),
+                            batch_format="pyarrow")
            .groupby("source")
            .aggregate(Sum("n_docs", alias_name="n_docs"),
                       Sum("total_tokens", alias_name="total_tokens"),
@@ -7298,8 +7307,8 @@ def bigram_pmi_top(sf_dir: str, k: int = 25, min_count: int = 5):
             out.append(big)
         return pd.concat(out, ignore_index=True)[["w1", "w2", "c"]]
 
-    counts = (ds.map_batches(lambda b: arrow_out(partial(b)),
-                             batch_format="pandas")
+    counts = (ds.map_batches(lambda t: arrow_out(partial(t.to_pandas())),
+                             batch_format="pyarrow")
               .groupby(["w1", "w2"])
               .aggregate(Sum("c", alias_name="c"))
               .to_pandas())
@@ -7390,8 +7399,8 @@ def source_token_entropy(sf_dir: str):
         return (ex.groupby(["source", "w"], sort=False).size()
                 .rename("c").reset_index())
 
-    counts = (ds.map_batches(lambda b: arrow_out(partial(b)),
-                             batch_format="pandas")
+    counts = (ds.map_batches(lambda t: arrow_out(partial(t.to_pandas())),
+                             batch_format="pyarrow")
               .groupby(["source", "w"])
               .aggregate(Sum("c", alias_name="c"))
               .to_pandas())
@@ -9748,13 +9757,14 @@ def host_boilerplate_strip(sf_dir: str):
     corpus): lines appearing in ≥50% of a host's pages are detected
     with one (host, line) grouped count, filtered to the tiny
     boilerplate set IN-CLUSTER against broadcast host totals, and
-    stripped in a second vectorized pass. Pages are synthesized as
+    stripped in a second pass whose per-batch (doc, chars, lines) sums
+    the driver merges — no second exchange. Pages are synthesized as
     host-nav line (every page) + promo line (every 3rd page) + doc
     text, so detection must keep the 100%-frequency nav, keep the
     33%-frequency promo, and never touch unique text. Output: cleaned
     char count per doc (join-by-newline length semantics, replayed
     exactly in SQL)."""
-    from ray.data.aggregate import Count, Sum
+    from ray.data.aggregate import Count
 
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
 
@@ -9802,21 +9812,21 @@ def host_boilerplate_strip(sf_dir: str):
         return t.filter(pa.array(n >= need)).select(["host", "line"])
 
     bp = hl.map_batches(keep_boiler, batch_format="pyarrow").to_pandas()
-    bp_keys = set(bp["host"] + "\x00" + bp["line"])
+    # lines hold no "\n" (they were split on it): an unambiguous joiner
+    bp_keys = pa.array(bp["host"] + "\n" + bp["line"], pa.string())
 
-    def strip(b: pd.DataFrame) -> pa.Table:
-        key = b["host"] + "\x00" + b["line"]
-        kept = b.loc[~key.isin(bp_keys)]
-        return arrow_out(pd.DataFrame({
-            "doc_id": kept["doc_id"],
-            "line_len": kept["line"].str.len().astype("int64"),
-        }))
+    # per-batch (doc_id, chars, lines) sums of the kept lines: integer
+    # partials merge exactly on the driver whatever the batch cuts
+    def strip(t: pa.Table) -> pa.Table:
+        key = pc.binary_join_element_wise(t["host"], t["line"], "\n")
+        kept = t.filter(pc.invert(pc.is_in(key, value_set=bp_keys)))
+        g = (kept.append_column("n", pc.utf8_length(kept["line"]))
+             .group_by("doc_id").aggregate([("n", "sum"), ("n", "count")]))
+        return pa.table({"doc_id": g["doc_id"], "s": g["n_sum"],
+                         "c": g["n_count"]})
 
-    per_doc = (lines.map_batches(strip, batch_format="pandas")
-               .groupby("doc_id")
-               .aggregate(Sum("line_len", alias_name="s"),
-                          Count(alias_name="c"))
-               .to_pandas())
+    per_doc = (lines.map_batches(strip, batch_format="pyarrow").to_pandas()
+               .groupby("doc_id", as_index=False)[["s", "c"]].sum())
     per_doc["n_chars_clean"] = (per_doc["s"] + per_doc["c"] - 1) \
         .astype("int64")
     all_docs = docs.select_columns(["doc_id"]).to_pandas()
@@ -10344,8 +10354,8 @@ def pattern_match_counts(sf_dir: str):
     escaped = {p: _re.escape(p) for p in PATTERNS}
     docs = _read(sf_dir, "documents", ["text"])
 
-    def count(b: pd.DataFrame) -> pa.Table:
-        txt = b["text"].fillna("")
+    def count(t: pa.Table) -> pa.Table:
+        txt = t.to_pandas()["text"].fillna("")
         rows = {}
         for p in PATTERNS:
             n = txt.str.count(escaped[p]).astype("int64")
@@ -10353,7 +10363,7 @@ def pattern_match_counts(sf_dir: str):
             rows[f"doc::{p}"] = (n > 0).astype("int64")
         return arrow_out(pd.DataFrame(rows))
 
-    agg = docs.map_batches(count, batch_format="pandas").aggregate(
+    agg = docs.map_batches(count, batch_format="pyarrow").aggregate(
         *[Sum(f"occ::{p}", alias_name=f"o::{p}") for p in PATTERNS],
         *[Sum(f"doc::{p}", alias_name=f"d::{p}") for p in PATTERNS])
     out = pd.DataFrame({
@@ -10704,7 +10714,8 @@ def host_mirror_frame(docs, *, n_hosts: int = 7,
 
     from ..stages.groups import bucketed_group_apply
 
-    def postings(b: pd.DataFrame) -> pa.Table:
+    def postings(t: pa.Table) -> pa.Table:
+        b = t.to_pandas()
         host = "host" + (b["doc_id"] % n_hosts).astype(str)
         toks = b["text"].fillna("").str.lower().str.split(" ")
         df = pd.DataFrame({"host": host.repeat(toks.str.len()).to_numpy(),
@@ -10720,7 +10731,7 @@ def host_mirror_frame(docs, *, n_hosts: int = 7,
     # sf0.1, the r04 slow-tier regression: the cap-accounting pass
     # added a third consumption). Object-store blocks, spillable —
     # never driver-side.
-    hw = (docs.map_batches(postings, batch_format="pandas")
+    hw = (docs.map_batches(postings, batch_format="pyarrow")
           .groupby(["host", "word"]).aggregate(Count(alias_name="c"))
           ).materialize()
 
@@ -12781,10 +12792,11 @@ def part_adamic_adar(sf_dir: str):
     the co-purchase graph: candidates are 2-hop neighbors, scored
     Σ 1/ln(deg(z)) over common neighbors z, direct edges excluded,
     top-20 by rounded score. The wedge expansion is SEEDED — cost
-    |S|·deg², not |V|·deg² — and runs inside neighbor (z) hash
-    buckets against the broadcast seed adjacency; degrees travel as
-    one sorted array, never per batch. Partial (u,v) sums merge in a
-    bounded |S|·|V| frame."""
+    |S|·deg², not |V|·deg² — and runs as a map over edge batches of
+    at most 16,384 rows against the broadcast seed adjacency; degrees
+    travel as one sorted array, never per batch. Weights sum in int64
+    fixed point (1e12/ln d), so the per-batch (u,v) partials merge in
+    a bounded |S|·|V| frame exactly, whatever the batch cuts."""
     import ray
 
     from ..stages.groups import small_key_counts
@@ -12809,23 +12821,20 @@ def part_adamic_adar(sf_dir: str):
     ref = ray.put((seed_adj.rename(columns={"src": "u", "dst": "z"}),
                    nodes, degs))
 
-    def wedges(df: pd.DataFrame) -> pd.DataFrame:
+    def wedges(t: pa.Table) -> pa.Table:
         sa, nd, dg = ray.get(ref)
-        m = sa.merge(df.rename(columns={"src": "z", "dst": "v"}), on="z")
+        m = sa.merge(t.to_pandas().rename(columns={"src": "z", "dst": "v"}),
+                     on="z")
         m = m[m["u"] != m["v"]]
-        if m.empty:
-            return pd.DataFrame({"u": pd.Series([], dtype="int64"),
-                                 "v": pd.Series([], dtype="int64"),
-                                 "aa": pd.Series([], dtype="float64")})
         zi = np.searchsorted(nd, m["z"].to_numpy())
-        w = 1.0 / np.log(dg[zi].astype(np.float64))
-        return (pd.DataFrame({"u": m["u"].to_numpy(),
-                              "v": m["v"].to_numpy(), "aa": w})
-                .groupby(["u", "v"], as_index=False)["aa"].sum())
+        w = np.rint(1e12 / np.log(dg[zi].astype(np.float64)))
+        return arrow_out(pd.DataFrame({
+            "u": m["u"].to_numpy(), "v": m["v"].to_numpy(),
+            "aa": w.astype(np.int64)})
+            .groupby(["u", "v"], as_index=False)["aa"].sum())
 
-    from ..stages.groups import bucketed_group_apply
-    part = bucketed_group_apply(adj, "src", wedges,
-                                num_buckets=16).to_pandas()
+    part = adj.map_batches(wedges, batch_format="pyarrow",
+                           batch_size=16384).to_pandas()
     sc = part.groupby(["u", "v"], as_index=False)["aa"].sum()
     # exclude direct edges from the seeds (broadcast-scale: |S|·deg)
     big = int(nodes.max()) + 1
@@ -12836,7 +12845,7 @@ def part_adamic_adar(sf_dir: str):
     if len(excl):
         idx = np.searchsorted(excl, code).clip(0, len(excl) - 1)
         sc = sc[excl[idx] != code]
-    sc = sc.assign(aa_score=round2(sc["aa"].to_numpy()))
+    sc = sc.assign(aa_score=round2(sc["aa"].to_numpy() / 1e12))
     out = (sc.sort_values(["aa_score", "u", "v"],
                           ascending=[False, True, True])
            .head(20)[["u", "v", "aa_score"]].reset_index(drop=True))
@@ -13730,7 +13739,8 @@ def token_zipf_slope(sf_dir: str):
     split_re = _re.compile(r"[ \t\r\n\f\v]+")
     ds = _read(sf_dir, "documents", ["text", "source"])
 
-    def partial_counts(df: pd.DataFrame) -> pa.Table:
+    def partial_counts(t: pa.Table) -> pa.Table:
+        df = t.to_pandas()
         src_out: list[str] = []
         tok_out: list[str] = []
         n_out: list[int] = []
@@ -13748,7 +13758,7 @@ def token_zipf_slope(sf_dir: str):
             "source": src_out, "tok": tok_out,
             "n": pd.Series(n_out, dtype="int64")}))
 
-    counts = (ds.map_batches(partial_counts, batch_format="pandas")
+    counts = (ds.map_batches(partial_counts, batch_format="pyarrow")
               .groupby(["source", "tok"]).aggregate(Sum("n", alias_name="n")))
 
     def fit_bucket(df: pd.DataFrame) -> pd.DataFrame:
@@ -14111,7 +14121,8 @@ def source_token_kl(sf_dir: str):
     split_re = _re.compile(r"[ \t\r\n\f\v]+")
     ds = _read(sf_dir, "documents", ["text", "source"])
 
-    def partial_counts(df: pd.DataFrame) -> pa.Table:
+    def partial_counts(t: pa.Table) -> pa.Table:
+        df = t.to_pandas()
         acc: dict[tuple, int] = {}
         for src, text in zip(df["source"].tolist(), df["text"].tolist()):
             for tok in split_re.split(text or ""):
@@ -14123,7 +14134,7 @@ def source_token_kl(sf_dir: str):
             "tok": [k[1] for k in keys],
             "n": pd.Series([acc[k] for k in keys], dtype="int64")}))
 
-    counts = (ds.map_batches(partial_counts, batch_format="pandas")
+    counts = (ds.map_batches(partial_counts, batch_format="pyarrow")
               .groupby(["source", "tok"])
               .aggregate(Sum("n", alias_name="n"))
               # consumed twice (tok-level re-aggregate + vocab filter):
@@ -15106,12 +15117,12 @@ def dup_cluster_size_hist(sf_dir: str):
 
     ds = _read(sf_dir, "documents", ["text"])
 
-    def to_hash(df: pd.DataFrame) -> pa.Table:
+    def to_hash(b: pa.Table) -> pa.Table:
         hs = [hashlib.md5((t or "").encode()).hexdigest()
-              for t in df["text"].tolist()]
+              for t in b["text"].to_pylist()]
         return arrow_out(pd.DataFrame({"h": hs}))
 
-    clusters = (ds.map_batches(to_hash, batch_format="pandas")
+    clusters = (ds.map_batches(to_hash, batch_format="pyarrow")
                 .groupby("h").aggregate(Count(alias_name="cluster_size")))
     hist = (clusters.groupby("cluster_size")
             .aggregate(Count(alias_name="n_clusters"))
@@ -15150,7 +15161,8 @@ def events_selfjoin_size_f2(sf_dir: str):
 
     ds = _read(sf_dir, "events", ["user_id"])
 
-    def partial(df: pd.DataFrame) -> pa.Table:
+    def partial(t: pa.Table) -> pa.Table:
+        df = t.to_pandas()
         # bucket is a pure function of user_id and the groupby below
         # drops non-aggregate columns anyway — moment_partials derives
         # it after the merge, so no hash is computed (or shuffled) here
@@ -15159,7 +15171,7 @@ def events_selfjoin_size_f2(sf_dir: str):
             "user_id": pd.Series(c.index.to_numpy(), dtype="int64"),
             "n": pd.Series(c.to_numpy(), dtype="int64")}))
 
-    per_user = (ds.map_batches(partial, batch_format="pandas")
+    per_user = (ds.map_batches(partial, batch_format="pyarrow")
                 .groupby("user_id")
                 .aggregate(Sum("n", alias_name="n")))
 
@@ -16643,18 +16655,19 @@ def cuped_variance_reduction(sf_dir: str):
     hi = np.datetime64(ds.max("ts"), "us").astype("int64")
     mid = (int(lo) + int(hi)) // 2
 
-    def tag(df: pd.DataFrame) -> pd.DataFrame:
+    def tag(tb: pa.Table) -> pa.Table:
+        df = tb.to_pandas()
         v = df["value"].to_numpy(np.float64)
         keep = ~np.isnan(v)
         t = df["ts"].to_numpy("datetime64[us]").astype("int64")[keep]
         v = v[keep]
         pre = t <= mid
-        return pd.DataFrame({
+        return arrow_out(pd.DataFrame({
             "user_id": df["user_id"].to_numpy()[keep],
             "x": np.where(pre, v, 0.0),
-            "y": np.where(pre, 0.0, v)})
+            "y": np.where(pre, 0.0, v)}))
 
-    per_user = (ds.map_batches(tag, batch_format="pandas")
+    per_user = (ds.map_batches(tag, batch_format="pyarrow")
                 .groupby("user_id")
                 .aggregate(Sum("x", alias_name="x"),
                            Sum("y", alias_name="y")))

@@ -24,4 +24,4 @@ def eight_read_blocks(monkeypatch):
     that need another count patch ``_blocks_for`` themselves."""
     from pdf_to_text_ray.pipelines import queries
 
-    monkeypatch.setattr(queries, "_blocks_for", lambda path: 8)
+    monkeypatch.setattr(queries, "_blocks_for", lambda path, columns=None: 8)

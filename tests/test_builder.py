@@ -245,3 +245,28 @@ def test_queries_round_through_round6():
     assert Q.round6(0.0078125) == 0.007813
     assert round(0.0078125, 6) == 0.007812
     assert Q.round6(-0.0078125) == -0.007813
+
+
+def test_no_pandas_map_feeds_an_exchange():
+    """A map declared ``batch_format="pandas"`` chained straight into
+    ``.groupby(``, ``.aggregate(`` or ``.sort(`` puts the exchange on
+    Ray's per-row pandas slow path (see ``groups.arrow_out``). Declare
+    such maps pyarrow and convert inside the UDF."""
+    import ast
+
+    bad = []
+    for path, _ in _py_files("pdf_to_text_ray"):
+        for n in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not (isinstance(n, ast.Call)
+                    and isinstance(n.func, ast.Attribute)
+                    and n.func.attr in ("groupby", "aggregate", "sort")):
+                continue
+            up = n.func.value
+            if (isinstance(up, ast.Call) and isinstance(up.func, ast.Attribute)
+                    and up.func.attr == "map_batches"
+                    and any(k.arg == "batch_format"
+                            and isinstance(k.value, ast.Constant)
+                            and k.value.value == "pandas"
+                            for k in up.keywords)):
+                bad.append(f"{path.name}:{n.lineno}")
+    assert not bad, f"pandas-declared maps feeding an exchange: {bad}"

@@ -1,8 +1,11 @@
 """Small-table oracle checks for queries whose results must not depend
 on how the tables are split: session spans, the TPC-H Q1 and Q9
 fixed-point sums and their cent rounding, the byte-sized read block
-count, the pinned benchmark queries at 1 and 8 blocks, the Theil–Sen sample cut under a planted uniform tie, the Kaplan–Meier
-horizon and RFM monetary bins at a planted quartile-edge tie."""
+count of whole files and projections, the pinned benchmark queries at
+1 and 8 blocks, the Adamic–Adar and boilerplate per-batch partials at
+1, 8 and 64 blocks, the Theil–Sen sample cut under a planted uniform
+tie, the Kaplan–Meier horizon and RFM monetary bins at a planted
+quartile-edge tie."""
 
 from __future__ import annotations
 
@@ -90,7 +93,8 @@ def test_q1_matches_oracle_at_any_block_count(ray_session, monkeypatch,
                                               blocks):
     from pdf_to_text_ray.pipelines import queries
 
-    monkeypatch.setattr(queries, "_blocks_for", lambda path: blocks)
+    monkeypatch.setattr(queries, "_blocks_for",
+                        lambda path, columns=None: blocks)
     got = queries.q1_pricing_summary(SF)
     want = _oracle(queries.Q1_SQL,
                    {"lineitem": f"{SF}/lineitem.parquet"})
@@ -152,7 +156,8 @@ def test_theil_sen_tie_at_the_cut(ray_session, monkeypatch, tmp_path):
     oracle = _oracle(queries.THEIL_SEN_SQL, {"lineitem": path}).iloc[0]
     assert oracle["theil_sen_slope"] == queries.round6(want)
     for blocks in (1, 8):
-        monkeypatch.setattr(queries, "_blocks_for", lambda p, b=blocks: b)
+        monkeypatch.setattr(queries, "_blocks_for",
+                            lambda p, columns=None, b=blocks: b)
         got = queries.lineitem_theil_sen(d).iloc[0]
         assert got["n_sample"] == n
         assert got["theil_sen_slope"] == queries.round6(want), blocks
@@ -165,7 +170,8 @@ def test_q9_matches_oracle_at_any_block_count(ray_session, monkeypatch,
     of a half-cent edge: its rounding must not follow the block count."""
     from pdf_to_text_ray.pipelines import queries
 
-    monkeypatch.setattr(queries, "_blocks_for", lambda path: blocks)
+    monkeypatch.setattr(queries, "_blocks_for",
+                        lambda path, columns=None: blocks)
     got = queries.q9_profit_by_nation_year(SF)
     want = _oracle(queries.Q9_SQL, {t: f"{SF}/{t}.parquet" for t in (
         "lineitem", "orders", "supplier", "nation", "part")})
@@ -183,7 +189,8 @@ def test_pinned_queries_match_oracles_at_any_block_count(
     from pdf_to_text_ray.pipelines import queries
     from tools.check_oracles import TABLES, to_pandas, value_hash
 
-    monkeypatch.setattr(queries, "_blocks_for", lambda path: blocks)
+    monkeypatch.setattr(queries, "_blocks_for",
+                        lambda path, columns=None: blocks)
     tables = {t: f"{SF}/{t}.parquet" for t in TABLES}
     for name in PINNED_QUERIES:
         got = to_pandas(queries.QUERIES[name](SF))
@@ -257,7 +264,8 @@ def test_rfm_monetary_tie_at_a_quartile_edge(ray_session, monkeypatch,
     assert len({bins[u] for u in tied}) == 1
     assert len(set(bins.values())) >= 3
     for blocks in (1, 8):
-        monkeypatch.setattr(queries, "_blocks_for", lambda p, b=blocks: b)
+        monkeypatch.setattr(queries, "_blocks_for",
+                            lambda p, columns=None, b=blocks: b)
         got = queries.user_rfm_segments(str(tmp_path)).to_pandas()
         _assert_same(got, want, ["user_id"])
 
@@ -275,6 +283,52 @@ def test_blocks_follow_uncompressed_bytes(monkeypatch):
     monkeypatch.setattr(queries, "_BLOCKS_CACHE", {})
     monkeypatch.setattr(queries, "_BLOCK_BYTES", 1024)
     assert byte_blocks(lineitem_01) == 16
+
+
+@pytest.mark.parametrize("sf", ["sf0.001", "sf0.01", "sf0.1"])
+def test_unprojected_blocks_follow_whole_file_bytes(monkeypatch, sf):
+    """With no projection the column-chunk sum is the row groups'
+    total_byte_size, so every table keeps its whole-file count."""
+    from pdf_to_text_ray.pipelines import queries
+
+    monkeypatch.setattr(queries, "_BLOCKS_CACHE", {})
+    d = os.path.join(os.path.dirname(SF), sf)
+    for f in sorted(os.listdir(d)):
+        md = pq.ParquetFile(os.path.join(d, f)).metadata
+        size = sum(md.row_group(i).total_byte_size
+                   for i in range(md.num_row_groups))
+        want = min(16, max(1, -(-size // (256 * 1024))))
+        assert byte_blocks(os.path.join(d, f)) == want, f
+
+
+def test_blocks_follow_projected_bytes(monkeypatch):
+    """A read is sized by the columns it decodes, and each projection
+    of a path is cached on its own."""
+    from pdf_to_text_ray.pipelines import queries
+
+    path = os.path.join(os.path.dirname(SF), "sf0.01", "lineitem.parquet")
+    cache = {}
+    monkeypatch.setattr(queries, "_BLOCKS_CACHE", cache)
+    assert byte_blocks(path, ["l_orderkey", "l_partkey"]) == 2
+    assert byte_blocks(path) == 5
+    assert len(cache) == 2
+
+
+@pytest.mark.parametrize("name", ["part_adamic_adar",
+                                  "host_boilerplate_strip"])
+def test_per_batch_partials_do_not_follow_block_count(ray_session,
+                                                      monkeypatch, name):
+    """Both queries merge per-batch partials on the driver: their
+    results must be bit-identical whatever the read's block count."""
+    from pdf_to_text_ray.pipelines import queries
+
+    results = []
+    for blocks in (1, 8, 64):
+        monkeypatch.setattr(queries, "_blocks_for",
+                            lambda p, columns=None, b=blocks: b)
+        results.append(queries.QUERIES[name](SF))
+    for got in results[1:]:
+        pd.testing.assert_frame_equal(got, results[0], check_exact=True)
 
 
 def test_cents_matches_duckdb_rounding():

@@ -81,7 +81,7 @@ def main():
     if args.blocks is not None:
         from pdf_to_text_ray.pipelines import queries
 
-        queries._blocks_for = lambda path: args.blocks
+        queries._blocks_for = lambda path, columns=None: args.blocks
 
     con = duckdb.connect()
     for t in TABLES:
