@@ -20,8 +20,7 @@ import os
 
 import pyarrow as pa
 
-from ..functions.scalars import to_fixed
-from ..stages.segment import CSV_HEADERS
+from ..stages.segment import CSV_HEADERS, csv_row
 
 
 def write_artifacts(text_ds, records_ds, out_dir: str,
@@ -47,8 +46,8 @@ def write_artifacts(text_ds, records_ds, out_dir: str,
 
     def to_csv_rows(batch: pa.Table) -> pa.Table:
         lines = [
-            f'"{n}","{e}",{q},{to_fixed(i, 2)}'
-            for n, e, q, i in zip(
+            csv_row(*rec)
+            for rec in zip(
                 batch["sucursal_name"].to_pylist(),
                 batch["ean"].to_pylist(),
                 batch["cantidad"].to_pylist(),
@@ -61,71 +60,13 @@ def write_artifacts(text_ds, records_ds, out_dir: str,
     os.makedirs(paths["records_csv"], exist_ok=True)
     # ONE header+rows file, streamed through the driver — exact parity
     # with the reference's single CSV string (main.ts:55). This is the
-    # right shape for the records artifact (records ≪ corpus); for a
-    # corpus-sized CSV export use write_csv_sharded below.
+    # right shape for the records artifact (records ≪ corpus).
     with open(os.path.join(paths["records_csv"], "part-00000.csv"), "w") as f:
         f.write(CSV_HEADERS + "\n")
         for batch in csv_lines.iter_batches(batch_size=8192, batch_format="pyarrow"):
             for line in batch["line"].to_pylist():
                 f.write(line + "\n")
     return paths
-
-
-def write_csv_sharded(line_ds, out_dir: str, *, header: str = CSV_HEADERS,
-                      rows_per_shard: int = 1 << 20) -> dict:
-    """Corpus-scale CSV export: every batch writes its OWN shard file
-    in parallel on the workers — nothing streams through the driver —
-    plus a driver-side manifest for resumability and ordered reads.
-
-    ``line_ds`` is a Dataset with one pre-formatted ``line`` string
-    column (the ``to_csv_rows`` shape). Each shard carries the header,
-    so any shard is independently parseable; concatenating the shards'
-    DATA rows in manifest order reproduces the single-file artifact
-    byte-for-byte. Shard names are content-addressed (md5 of the
-    shard's bytes), so a re-run after failure rewrites only shards
-    whose data is missing — idempotent output, never one giant file.
-
-    Returns the manifest dict {"shards": [{"file", "rows", "md5"}...],
-    "total_rows": N}, also written to ``out_dir/_MANIFEST.json``."""
-    import hashlib
-    import json
-
-    os.makedirs(out_dir, exist_ok=True)
-
-    def write_shard(t: pa.Table) -> pa.Table:
-        lines = t["line"].to_pylist()
-        body = "\n".join(lines) + ("\n" if lines else "")
-        digest = hashlib.md5(body.encode()).hexdigest()
-        fname = f"shard-{digest}.csv"
-        fpath = os.path.join(out_dir, fname)
-        if not os.path.exists(fpath):  # resume: skip finished shards
-            tmp = fpath + ".tmp"
-            with open(tmp, "w") as f:
-                f.write(header + "\n")
-                f.write(body)
-            os.replace(tmp, fpath)  # atomic: no torn shards on crash
-        first = lines[0] if lines else ""
-        return pa.table({
-            "file": pa.array([fname], pa.string()),
-            "rows": pa.array([len(lines)], pa.int64()),
-            "md5": pa.array([digest], pa.string()),
-            "first_line": pa.array([first], pa.string()),
-        })
-
-    # rows_per_shard bounds shard size independently of block size
-    shards = line_ds.map_batches(
-        write_shard, batch_format="pyarrow",
-        batch_size=rows_per_shard).to_pandas()
-    # deterministic manifest order = data order is not guaranteed by
-    # a parallel map; order shards by their first line for a stable,
-    # re-run-identical manifest (lines embed their natural sort key)
-    shards = shards.sort_values(["first_line", "md5"]).drop(
-        columns=["first_line"])
-    manifest = {"shards": shards.to_dict("records"),
-                "total_rows": int(shards["rows"].sum())}
-    with open(os.path.join(out_dir, "_MANIFEST.json"), "w") as f:
-        json.dump(manifest, f, indent=1)
-    return manifest
 
 
 def lookup_artifact(out_dir: str, url: str, kind: str = "text"):

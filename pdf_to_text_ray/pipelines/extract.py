@@ -25,8 +25,9 @@ Design notes for 100 TB scale:
   files; ``files_per_wave=1`` makes it one file): each wave is one
   streaming pipeline run whose output dir + manifest are finalized
   atomically; a restarted job skips completed waves
-  (state/manifest.py). Cross-wave global dedup, when input spans
-  crawls, is ``dedup_pages_latest`` over the extracted output.
+  (state/manifest.py). Dedup is global across waves: ``run_extract``
+  computes the winners once over EVERY input file, so a url duplicated
+  in two waves survives only in the wave holding its latest row.
 - A wave is one Ray execution: its manifest metrics and survivor
   digest come from a driver-side read of the files it wrote; only a
   restart re-derives the digest from the input (``wave_digest``).
@@ -45,7 +46,7 @@ from ..schemas import DOC_TYPE_HTML, DOC_TYPE_PDF, DOC_TYPE_TEXT
 from ..stages.charset import decode_payload as decode_html_payload
 from ..stages.html_extract import extract_html_text
 from ..stages.pdf_extract import extract_pdf_text
-from ..stages.sniff import sniff_batch
+from ..stages.sniff import sniff_batch, unwrap_payload
 from ..state import manifest as mstate
 
 DEFAULT_BATCH_SIZE = 64
@@ -68,8 +69,6 @@ class ExtractDispatch:
     """
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        import gzip as _gzip
-
         from ..stages.zerocopy import binary_views
 
         doc_types = batch["doc_type"].to_pylist()
@@ -90,23 +89,13 @@ class ExtractDispatch:
         out_fail: list[bool] = []
         out_fb: list[bool] = []
         out_err: list[str | None] = []
-        from ..stages.sniff import http_charset, strip_http_envelope
-
         for i, (dt, payload, gz, ht) in enumerate(
                 zip(doc_types, payloads, gzips, https)):
-            charset_hint = None
             try:
-                if gz and payload:
-                    payload = _gzip.decompress(payload)
-                if ht and payload:
-                    # WARC response record: strip the HTTP status line
-                    # + headers, undo chunked/content codings; keep the
-                    # header charset as the transport-layer decode hint.
-                    # Both helpers are memoryview-native — only the
-                    # header region is copied, the body stays a
-                    # zero-copy Arrow-buffer view.
-                    charset_hint = http_charset(payload)
-                    payload = strip_http_envelope(payload)
+                # WARC response record: gunzip, strip the HTTP status
+                # line + headers, undo chunked/content codings; keep
+                # the header charset as the transport-layer decode hint
+                payload, charset_hint = unwrap_payload(payload, gz, ht)
                 if dt == DOC_TYPE_PDF:
                     r = extract_pdf_text(payload)
                     out_text.append(r.text)

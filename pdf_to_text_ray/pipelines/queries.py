@@ -106,6 +106,42 @@ def _read(sf_dir: str, name: str, columns=None):
     ).map_batches(_meta_free, batch_format="pyarrow")
 
 
+def _cache_dir(site: str, version: int, *sources: str) -> str:
+    """Directory of a build-once ``/tmp`` cache derived from ``sources``:
+    ``/tmp/ptt_<site>/v<version>_<md5>``, the md5 taken over the site,
+    its layout version and each source's absolute path, size and
+    ``st_mtime_ns``. A same-size rewrite or another directory with the
+    same basename gets a fresh cache; bump ``version`` when the layout
+    a site builds changes."""
+    import hashlib
+
+    h = hashlib.md5(f"{site}|v{version}".encode())
+    for src in sources:
+        src = os.path.abspath(src)
+        st = os.stat(src)
+        h.update(f"|{src}|{st.st_size}|{st.st_mtime_ns}".encode())
+    return os.path.join("/tmp", f"ptt_{site}",
+                        f"v{version}_{h.hexdigest()[:16]}")
+
+
+def _build_once(out_dir: str, build) -> str:
+    """Build ``out_dir`` in place once and return it. Without its
+    ``_DONE`` marker the directory holds a crashed attempt's partial
+    output (Ray parquet file names are unique per execution, so writing
+    over it would duplicate rows): clear it, ``build(out_dir)``, then
+    write the marker. In place rather than renamed, because some
+    layouts (the Bloom index) record their files' absolute paths."""
+    marker = os.path.join(out_dir, "_DONE")
+    if not os.path.exists(marker):
+        import shutil
+
+        shutil.rmtree(out_dir, ignore_errors=True)
+        os.makedirs(out_dir)
+        build(out_dir)
+        with open(marker, "w") as f:
+            f.write("ok")
+    return out_dir
+
 
 def round2(x):
     """DuckDB ``round(x, 2)`` parity: round(x*100)/100 in double with
@@ -2319,19 +2355,9 @@ def _ensure_extracted(sf_dir: str) -> str:
 
     pages_dir, _ = _corpus_dirs(sf_dir)
     key = f"v{GENERATOR_VERSION}_n{_corpus_rows_for(sf_dir)}"
-    out_dir = os.path.join("/tmp/ptt_extracted", key)
-    marker = os.path.join(out_dir, "_DONE")
-    if not os.path.exists(marker):
-        # no marker ⇒ any existing files are a crashed attempt's partial
-        # output; Ray parquet file names are unique per execution, so
-        # writing into the same dir would duplicate rows — clear first
-        import shutil
-
-        shutil.rmtree(out_dir, ignore_errors=True)
-        extract_corpus_pipeline(pages_dir).write_parquet(out_dir)
-        with open(marker, "w") as f:
-            f.write("ok")
-    return out_dir
+    return _build_once(
+        os.path.join("/tmp/ptt_extracted", key),
+        lambda d: extract_corpus_pipeline(pages_dir).write_parquet(d))
 
 
 def extract_records(sf_dir: str):
@@ -3271,32 +3297,14 @@ def inverted_index_lookup(sf_dir: str):
     """Build the sharded inverted index once per sf (hive-partitioned
     parquet, one dir per token-hash shard), then serve the term lookup
     by reading ONLY the shards the query terms hash to."""
-    import shutil
-
     from pdf_to_text_ray.stages.index import (
         build_inverted_index, lookup_postings)
 
-    import pyarrow.parquet as pq
-
-    docs_path = os.path.join(sf_dir, "documents.parquet")
-    n = pq.ParquetFile(docs_path).metadata.num_rows
-    # Cache key fingerprints the source file AND the index format so a
-    # tokenizer/layout change (or a different corpus with the same row
-    # count) can never serve a stale index.
-    import hashlib
-
-    st = os.stat(docs_path)
-    fp = hashlib.md5(
-        f"{docs_path}|{st.st_size}|{st.st_mtime_ns}|v2".encode()
-    ).hexdigest()[:12]
-    out_dir = f"/tmp/ptt_invindex/n{n}_{fp}"
-    marker = os.path.join(out_dir, "_DONE")
-    if not os.path.exists(marker):
-        shutil.rmtree(out_dir, ignore_errors=True)
-        ds = _read(sf_dir, "documents", ["doc_id", "text"])
-        build_inverted_index(ds, out_dir, num_shards=16)
-        with open(marker, "w") as f:
-            f.write("ok")
+    out_dir = _build_once(
+        _cache_dir("invindex", 2, os.path.join(sf_dir, "documents.parquet")),
+        lambda d: build_inverted_index(
+            _read(sf_dir, "documents", ["doc_id", "text"]), d,
+            num_shards=16))
     return lookup_postings(out_dir, INDEX_TERMS, num_shards=16)
 
 
@@ -5207,19 +5215,9 @@ def events_time_travel(sf_dir: str):
     never opens commit 3's files); key resolution is a hash-bucketed
     last-write-wins, no driver materialization. The SQL oracle replays
     both snapshots from the flat table."""
-    import hashlib
-    import shutil
-
     from ..state.versioned import commit, read_as_of
 
-    src = os.path.join(sf_dir, "events.parquet")
-    st = os.stat(src)
-    fp = hashlib.md5(
-        f"{src}|{st.st_size}|{st.st_mtime_ns}|v1".encode()).hexdigest()[:12]
-    root = f"/tmp/ptt_events_versioned/{fp}"
-    marker = os.path.join(root, "_DONE")
-    if not os.path.exists(marker):
-        shutil.rmtree(root, ignore_errors=True)
+    def build(root: str) -> None:
         base = _read(sf_dir, "events", ["event_id", "user_id", "value"])
         commit(base, root, key="event_id")
 
@@ -5241,8 +5239,10 @@ def events_time_travel(sf_dir: str):
 
         commit(base.map_batches(deletes, batch_format="pyarrow"),
                root, key="event_id")
-        with open(marker, "w") as f:
-            f.write("ok")
+
+    root = _build_once(_cache_dir(
+        "events_versioned", 1, os.path.join(sf_dir, "events.parquet")),
+        build)
 
     frames = []
     for v in (2, 3):
@@ -5279,28 +5279,17 @@ def events_zorder_box_query(sf_dir: str):
     — a 1D sort can prune on one dimension only. One all-to-all paid
     at write time buys selectivity-proportional box scans forever
     after. Oracle replays the box on the flat table."""
-    import hashlib
-    import shutil
-
     import ray.data as rd
     from ray.data.aggregate import Count, Sum
 
     from ..stages.zorder import zonemap_box_files, zorder_layout
 
-    src = os.path.join(sf_dir, "events.parquet")
-    st = os.stat(src)
-    fp = hashlib.md5(
-        f"{src}|{st.st_size}|{st.st_mtime_ns}|v1".encode()).hexdigest()[:12]
-    out_dir = f"/tmp/ptt_events_zorder/{fp}"
-    marker = os.path.join(out_dir, "_DONE")
-    if not os.path.exists(marker):
-        shutil.rmtree(out_dir, ignore_errors=True)
-        zorder_layout(
+    out_dir = _build_once(
+        _cache_dir("events_zorder", 1, os.path.join(sf_dir, "events.parquet")),
+        lambda d: zorder_layout(
             _read(sf_dir, "events", ["user_id", "ts", "event_type",
                                      "value"]),
-            ("user_id", "ts"), out_dir, num_files=16)
-        with open(marker, "w") as f:
-            f.write("ok")
+            ("user_id", "ts"), d, num_files=16))
 
     u_lo, u_hi = 0, 8
     t_lo = pd.Timestamp("2024-01-08")
@@ -6409,24 +6398,13 @@ def events_partitioned_roundtrip(sf_dir: str):
     read back — the other four partitions never leave disk — and
     aggregated per user. The resumable-output layout (one dir per
     partition value) the 100 TB pipeline writes."""
-    import hashlib
-    import shutil
-
     import ray.data as rd
     from ray.data.aggregate import Count, Sum
 
-    src = os.path.join(sf_dir, "events.parquet")
-    st = os.stat(src)
-    fp = hashlib.md5(
-        f"{src}|{st.st_size}|{st.st_mtime_ns}|v1".encode()).hexdigest()[:12]
-    out_dir = f"/tmp/ptt_events_part/{fp}"
-    marker = os.path.join(out_dir, "_DONE")
-    if not os.path.exists(marker):
-        shutil.rmtree(out_dir, ignore_errors=True)
-        (_read(sf_dir, "events", ["event_type", "user_id", "value"])
-         .write_parquet(out_dir, partition_cols=["event_type"]))
-        with open(marker, "w") as f:
-            f.write("ok")
+    out_dir = _build_once(
+        _cache_dir("events_part", 1, os.path.join(sf_dir, "events.parquet")),
+        lambda d: _read(sf_dir, "events", ["event_type", "user_id", "value"])
+        .write_parquet(d, partition_cols=["event_type"]))
 
     part = rd.read_parquet(os.path.join(out_dir, "event_type=purchase"))
     out = (part.groupby("user_id")
@@ -6627,24 +6605,13 @@ def events_zonemap_range_query(sf_dir: str):
     overlaps the predicate — the rest never leave storage. This is the
     file-skipping layer a 100 TB time-partitioned corpus relies on
     (pytest asserts real pruning: files_read < files_total)."""
-    import hashlib
-    import shutil
-
     import ray.data as rd
     from ray.data.aggregate import Count, Sum
 
-    src = os.path.join(sf_dir, "events.parquet")
-    st = os.stat(src)
-    fp = hashlib.md5(
-        f"{src}|{st.st_size}|{st.st_mtime_ns}|v1".encode()).hexdigest()[:12]
-    out_dir = f"/tmp/ptt_events_zoned/{fp}"
-    marker = os.path.join(out_dir, "_DONE")
-    if not os.path.exists(marker):
-        shutil.rmtree(out_dir, ignore_errors=True)
-        (_read(sf_dir, "events", ["ts", "event_type", "value"])
-         .sort("ts").repartition(16).write_parquet(out_dir))
-        with open(marker, "w") as f:
-            f.write("ok")
+    out_dir = _build_once(
+        _cache_dir("events_zoned", 1, os.path.join(sf_dir, "events.parquet")),
+        lambda d: _read(sf_dir, "events", ["ts", "event_type", "value"])
+        .sort("ts").repartition(16).write_parquet(d))
 
     lo = pd.Timestamp("2024-01-08")
     hi = pd.Timestamp("2024-01-15")
@@ -6685,20 +6652,10 @@ def events_schema_evolution(sf_dir: str):
     default fill is a per-batch map (no rewrite of old files), the
     union stays streaming. Split rule: even event_ids were written by
     the v1 writer."""
-    import hashlib
-    import shutil
-
     import ray.data as rd
     from ray.data.aggregate import Count, Sum
 
-    src = os.path.join(sf_dir, "events.parquet")
-    st = os.stat(src)
-    fp = hashlib.md5(
-        f"{src}|{st.st_size}|{st.st_mtime_ns}|v1".encode()).hexdigest()[:12]
-    root = f"/tmp/ptt_events_evo/{fp}"
-    marker = os.path.join(root, "_DONE")
-    if not os.path.exists(marker):
-        shutil.rmtree(root, ignore_errors=True)
+    def build(root: str) -> None:
         ev = _read(sf_dir, "events", ["event_id", "user_id", "event_type",
                                       "value"])
         (ev.map_batches(
@@ -6714,8 +6671,10 @@ def events_schema_evolution(sf_dir: str):
                 pa.scalar(1, pa.int64()))),
             batch_format="pyarrow")
          .write_parquet(os.path.join(root, "v2")))
-        with open(marker, "w") as f:
-            f.write("ok")
+
+    root = _build_once(
+        _cache_dir("events_evo", 1, os.path.join(sf_dir, "events.parquet")),
+        build)
 
     def fill_v1(t: pa.Table) -> pa.Table:
         return pa.table({
@@ -9094,22 +9053,18 @@ WHERE o_custkey IN
 def _ensure_bucketed_store(sf_dir: str) -> tuple[str, str]:
     """Write orders + customer storage-bucketed by custkey ONCE per
     source version — the ingest-time shuffle that later bucket-local
-    joins amortize. Cache keyed by the source parquets' (size, mtime)
-    so regenerated testdata invalidates it (and distinct worker caches
-    see a distinct small_dir path); the build lands via an atomic
-    rename, so a racing second process either sees the finished store
-    or re-builds in its own temp dir and loses the rename benignly."""
+    joins amortize. Cache keyed by ``_cache_dir`` over both source
+    parquets, so regenerated testdata invalidates it (and distinct
+    worker caches see a distinct small_dir path); the build lands via
+    an atomic rename, so a racing second process either sees the
+    finished store or re-builds in its own temp dir and loses the
+    rename benignly."""
     import shutil
 
     from ..stages.joins import write_bucketed
 
-    sig = []
-    for name in ("orders", "customer"):
-        st = os.stat(os.path.join(sf_dir, f"{name}.parquet"))
-        sig.append(f"{st.st_size}_{int(st.st_mtime)}")
-    key = (os.path.basename(os.path.normpath(sf_dir))
-           + "-" + "-".join(sig))
-    base = os.path.join("/tmp/ptt_bucketed", key)
+    base = _cache_dir("bucketed", 1, os.path.join(sf_dir, "orders.parquet"),
+                      os.path.join(sf_dir, "customer.parquet"))
     orders_dir = os.path.join(base, "orders")
     cust_dir = os.path.join(base, "customer")
     if not os.path.isdir(base):
@@ -9173,19 +9128,15 @@ _PRUNED_DAYS = ("2024-01-05", "2024-01-06", "2024-01-07")
 
 def _ensure_events_by_day(sf_dir: str) -> str:
     """Hive-partition the events table by calendar day ONCE per source
-    (cache keyed by the file's size+mtime), via a streaming Ray write
-    with ``partition_cols`` — the ingest-time layout that lets every
-    later time-ranged query read only its days' directories."""
-    import hashlib
+    (cache keyed by ``_cache_dir``), via a streaming Ray write with
+    ``partition_cols`` — the ingest-time layout that lets every later
+    time-ranged query read only its days' directories."""
     import shutil
 
     import ray.data as rd
 
     src = os.path.join(sf_dir, "events.parquet")
-    st = os.stat(src)
-    key = (hashlib.md5(os.path.abspath(src).encode()).hexdigest()[:8]
-           + f"_v1_{st.st_size}_{st.st_mtime_ns}")
-    out = os.path.join("/tmp/ptt_events_byday", key)
+    out = _cache_dir("events_byday", 1, src)
     if os.path.exists(os.path.join(out, "_DONE")):
         return out
 
@@ -9713,24 +9664,16 @@ def bloom_point_lookup_events(sf_dir: str):
     maybe-files (~4/16; false negatives impossible, pytest asserts real
     pruning). One key is absent — the filter proves absence without
     touching data."""
-    import hashlib
-    import shutil
-
     from ..stages.fileindex import bloom_point_lookup, build_bloom_index
 
-    src = os.path.join(sf_dir, "events.parquet")
-    st = os.stat(src)
-    fp = hashlib.md5(
-        f"{src}|{st.st_size}|{st.st_mtime_ns}|v2".encode()).hexdigest()[:12]
-    out_dir = f"/tmp/ptt_events_bloom/{fp}"
-    marker = os.path.join(out_dir, "_DONE")
-    if not os.path.exists(marker):
-        shutil.rmtree(out_dir, ignore_errors=True)
+    def build(out_dir: str) -> None:
         (_read(sf_dir, "events", ["event_id", "user_id", "value"])
          .random_shuffle(seed=7).repartition(16).write_parquet(out_dir))
         build_bloom_index(out_dir, "event_id")
-        with open(marker, "w") as f:
-            f.write("ok")
+
+    out_dir = _build_once(
+        _cache_dir("events_bloom", 2, os.path.join(sf_dir, "events.parquet")),
+        build)
 
     keys = [11, 404, 777, 1_000_000_000]
     ds = bloom_point_lookup(out_dir, "event_id", keys)
@@ -9926,24 +9869,16 @@ def events_lsm_compact(sf_dir: str):
     per-range stats; the oracle replays the identical quantile_disc
     splitters and strictly-less range rule in SQL. Zone-map pruning on
     the compacted level is pytest-asserted."""
-    import hashlib
     import shutil
-
-    import ray.data as rd
 
     from ..stages.lsm import compact, write_run
 
-    src = os.path.join(sf_dir, "events.parquet")
-    st = os.stat(src)
-    fp = hashlib.md5(
-        f"{src}|{st.st_size}|{st.st_mtime_ns}|v1".encode()).hexdigest()[:12]
-    base = f"/tmp/ptt_events_lsm/{fp}"
+    base = _cache_dir("events_lsm", 1, os.path.join(sf_dir, "events.parquet"))
     runs_dir = os.path.join(base, "runs")
     level_dir = os.path.join(base, "level0")
-    marker = os.path.join(base, "_DONE")
-    if not os.path.exists(marker):
-        shutil.rmtree(base, ignore_errors=True)
-        os.makedirs(runs_dir, exist_ok=True)
+
+    def build(_: str) -> None:
+        os.makedirs(runs_dir)
 
         def keyed(t: pa.Table, wave: int) -> pa.Table:
             eid = t["event_id"].to_numpy(zero_copy_only=False)
@@ -9959,8 +9894,8 @@ def events_lsm_compact(sf_dir: str):
             write_run(ev.map_batches(keyed, fn_kwargs={"wave": wave},
                                      batch_format="pyarrow"),
                       "key", runs_dir, wave)
-        with open(marker, "w") as f:
-            f.write("ok")
+
+    _build_once(base, build)
     shutil.rmtree(level_dir, ignore_errors=True)
     return compact(runs_dir, "key", level_dir, num_ranges=8)
 
@@ -10934,24 +10869,11 @@ def catalog_consistent_join(sf_dir: str):
     dim (broadcast — the dim is small), and aggregates value per tier;
     the oracle replays both snapshots' last-write-wins states from the
     flat table."""
-    import hashlib
-    import shutil
-
-    import ray.data as rd
-
     from ..stages.joins import broadcast_join
     from ..state.catalog import publish, read_table, table_root
     from ..state.versioned import commit
 
-    src = os.path.join(sf_dir, "events.parquet")
-    st = os.stat(src)
-    fp = hashlib.md5(
-        f"{src}|{st.st_size}|{st.st_mtime_ns}|v1".encode()).hexdigest()[:12]
-    root = f"/tmp/ptt_catalog/{fp}"
-    marker = os.path.join(root, "_DONE")
-    if not os.path.exists(marker):
-        shutil.rmtree(root, ignore_errors=True)
-        os.makedirs(root, exist_ok=True)
+    def build(root: str) -> None:
         ev = _read(sf_dir, "events", ["event_id", "user_id", "value"])
 
         def fact_v1(t: pa.Table) -> pa.Table:
@@ -11012,8 +10934,10 @@ def catalog_consistent_join(sf_dir: str):
                    "tier": pa.array(["silver"] * len(np.unique(
                        t["user_id"].to_numpy(zero_copy_only=False)))),
                }), batch_format="pyarrow"), droot, key="user_id")
-        with open(marker, "w") as f:
-            f.write("ok")
+
+    root = _build_once(
+        _cache_dir("catalog", 1, os.path.join(sf_dir, "events.parquet")),
+        build)
 
     # tier is a ≤3-key domain: two full groupby exchanges (sum + count)
     # would each shuffle the joined fact AND re-execute the lazy join

@@ -3,7 +3,7 @@
 The reference (src/main.ts) has no declared schemas — its only schema is
 the JSON shape dictated to the LLM (main.ts:183-198) and the CSV header
 (main.ts:40). Our engine is deterministic, so schemas are declared per
-stage and enforced at the boundaries.
+stage boundary.
 """
 
 from __future__ import annotations
@@ -73,29 +73,3 @@ GOLDEN_TEXT_SCHEMA = pa.schema(
         ("n_pages", pa.int32()),
     ]
 )
-
-
-def validate_schema(ds_or_table, expected: pa.Schema, *, subset: bool = True) -> None:
-    """Assert stage-boundary schema conformance: every expected column
-    present with the expected type. ``subset=True`` allows extra
-    columns (stages append; lineage columns travel through)."""
-    import ray.data
-
-    if isinstance(ds_or_table, ray.data.Dataset):
-        actual = ds_or_table.schema()
-        actual_map = dict(zip(actual.names, actual.types))
-    else:
-        actual_map = {f.name: f.type for f in ds_or_table.schema}
-    problems = []
-    for field in expected:
-        if field.name not in actual_map:
-            problems.append(f"missing column {field.name}")
-        elif actual_map[field.name] != field.type:
-            problems.append(
-                f"{field.name}: {actual_map[field.name]} != {field.type}")
-    if not subset:
-        extra = set(actual_map) - set(expected.names)
-        if extra:
-            problems.append(f"unexpected columns {sorted(extra)}")
-    if problems:
-        raise ValueError("schema mismatch: " + "; ".join(problems))

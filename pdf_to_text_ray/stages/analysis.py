@@ -410,7 +410,7 @@ def flag_contaminated(ds, eval_texts: list[str], *, n: int = 13,
     return ds.map_batches(probe, batch_format="pyarrow")
 
 
-# ── PII detection / scrubbing ────────────────────────────────────────
+# ── PII detection ────────────────────────────────────────
 
 # RE2-compatible (no lookaround) so the DuckDB oracle can run the
 # identical patterns
@@ -435,24 +435,6 @@ def pii_counts_batch(batch, key_col: str = "doc_id",
         "n_phones": texts.str.count(PII_PHONE_RE).astype("int64").to_numpy(),
         "n_ipv4": texts.str.count(PII_IPV4_RE).astype("int64").to_numpy(),
     })
-
-
-def scrub_pii_batch(batch, text_col: str = "text"):
-    """Redact emails/phones/IPv4 with typed placeholders — the cleaning
-    half (Arrow in, Arrow out; only the text column materializes)."""
-    import re
-
-    import pyarrow as pa
-
-    out = []
-    for text in batch[text_col].to_pylist():
-        s = text or ""
-        s = re.sub(PII_EMAIL_RE, "<EMAIL>", s)
-        s = re.sub(PII_PHONE_RE, "<PHONE>", s)
-        s = re.sub(PII_IPV4_RE, "<IP>", s)
-        out.append(s)
-    return batch.append_column(text_col + "_scrubbed",
-                               pa.array(out, pa.string()))
 
 
 # ── BM25 relevance scoring (Robertson/Spärck Jones; Lucene idf) ──────

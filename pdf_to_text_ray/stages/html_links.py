@@ -23,7 +23,7 @@ from urllib.parse import urljoin, urlsplit, urlunsplit
 import pyarrow as pa
 
 from .html_extract import Element, _collapse, parse_html
-from .sniff import DOC_TYPE_HTML, sniff_doc_type
+from .sniff import DOC_TYPE_HTML, sniff_doc_type, unwrap_payload
 
 # hrefs that are not navigable document references
 _SKIP_SCHEMES = ("javascript:", "mailto:", "tel:", "data:", "about:")
@@ -168,23 +168,12 @@ def _decode_html(payload: bytes) -> str | None:
     doc_type, is_gzip, is_http = sniff_doc_type(payload)
     if doc_type != DOC_TYPE_HTML:
         return None
-    if is_gzip:
-        import gzip
-
-        try:
-            payload = gzip.decompress(payload)
-        except (OSError, EOFError, zlib.error):
-            # truncated members raise EOFError, corrupt deflate
-            # zlib.error — neither is an OSError subclass
-            return None
-    hint = None
-    if is_http:
-        from .sniff import http_charset, strip_http_envelope
-
-        # capture the Content-Type charset BEFORE the headers are
-        # stripped, matching the extract/HTML-actor decode order
-        hint = http_charset(payload)
-        payload = strip_http_envelope(payload)
+    try:
+        payload, hint = unwrap_payload(payload, is_gzip, is_http)
+    except (OSError, EOFError, zlib.error):
+        # truncated members raise EOFError, corrupt deflate
+        # zlib.error — neither is an OSError subclass
+        return None
     from .charset import decode_payload
 
     return decode_payload(payload, hint)

@@ -90,14 +90,6 @@ class MediaFeatureExtractor:
         return batch.select(keep).append_column("features", feat_col)
 
 
-def frame_sample_plan(duration_ms: int, every_ms: int = 1000) -> list[int]:
-    """Deterministic frame-sampling timestamps for a video payload —
-    the plumbing half of frame extraction (decode itself is stubbed)."""
-    if duration_ms <= 0:
-        return []
-    return list(range(0, duration_ms, every_ms))
-
-
 class VideoFrameSampler:
     """Actor-pool flat-map stage: one input video row → one output row
     per sampled frame (id, frame index, timestamp, dims, luma stats).

@@ -43,29 +43,11 @@ CSV_HEADERS = "SucursalName,EAN,CantidadVendida,Importe"  # main.ts:40
 
 def extract_blocks(full_text: str) -> list[str]:
     """Exact-semantics port of extractBlocksFromPDFText (main.ts:70-109)."""
-    blocks: list[str] = []
-    current: list[str] = []
-    capturing = False
-    for line in full_text.split("\n"):
-        if line.lower().startswith("sucursal"):
-            if current:
-                blocks.append("\n".join(current))
-            current = [line]
-            capturing = True
-            continue
-        if capturing:
-            current.append(line)
-            if _TOTAL_RE.search(line):
-                blocks.append("\n".join(current))
-                current = []
-                capturing = False
-    if capturing and current:
-        blocks.append("\n".join(current))
-    return blocks
+    return [blk for blk, _, _ in extract_blocks_with_spans(full_text)]
 
 
 def extract_blocks_with_spans(full_text: str) -> list[tuple[str, int, int]]:
-    """extract_blocks plus character spans: (block_text, start, end)
+    """The block scan, with character spans: (block_text, start, end)
     with the invariant ``full_text[start:end] == block_text`` — the
     "extracted spans per document" contract (north rule)."""
     out: list[tuple[str, int, int]] = []
@@ -145,13 +127,16 @@ def chunk_blocks(blocks: list[str], max_blocks_per_chunk: int = 10) -> list[list
     ]
 
 
+def csv_row(name: str, ean: str, cantidad: int, importe: float) -> str:
+    """One convertJsonToCsv data row (main.ts:39-56): quoted strings,
+    int, 2-dp toFixed formatting."""
+    return f'"{name}","{ean}",{cantidad},{to_fixed(importe, 2)}'
+
+
 def records_to_csv(records: Iterable[tuple[str, str, int, float]]) -> str:
-    """convertJsonToCsv parity (main.ts:39-56): quoted strings, int, 2-dp
-    toFixed formatting."""
-    rows = [CSV_HEADERS]
-    for name, ean, cantidad, importe in records:
-        rows.append(f'"{name}","{ean}",{cantidad},{to_fixed(importe, 2)}')
-    return "\n".join(rows)
+    """convertJsonToCsv parity (main.ts:39-56): the header line, then
+    one ``csv_row`` per record."""
+    return "\n".join([CSV_HEADERS] + [csv_row(*r) for r in records])
 
 
 # ──────────────────────────────────────────────────────────────────────

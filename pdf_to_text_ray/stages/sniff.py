@@ -9,6 +9,7 @@ the ``is_gzip``/``is_http`` flags the dispatch stage unwraps by.
 
 from __future__ import annotations
 
+import gzip
 import re
 
 import pyarrow as pa
@@ -146,6 +147,22 @@ def http_charset(payload) -> str | None:
     head = bytes(payload[:m if m != -1 else 2048]).lower()
     cm = _CT_CHARSET.search(head)
     return cm.group(1).decode("ascii", "ignore") if cm else None
+
+
+def unwrap_payload(payload, is_gzip: bool, is_http: bool):
+    """Full payload → ``(body, charset_hint)``, by the flags
+    ``sniff_batch`` attached: gunzip, then for an HTTP response record
+    read the header's charset label BEFORE stripping the envelope.
+    Both HTTP helpers are memoryview-native — only the header region is
+    copied, an unchunked uncompressed body stays a zero-copy view. A
+    corrupt gzip member raises (OSError, EOFError or zlib.error)."""
+    hint = None
+    if is_gzip and payload:
+        payload = gzip.decompress(payload)
+    if is_http and payload:
+        hint = http_charset(payload)
+        payload = strip_http_envelope(payload)
+    return payload, hint
 
 
 def _gunzip_head(payload: bytes, n: int = 2048) -> bytes:

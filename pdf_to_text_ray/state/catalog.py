@@ -86,10 +86,6 @@ def _read_catalog(root: str) -> list[dict]:
         return json.load(f)
 
 
-def latest_catalog_version(root: str) -> int:
-    return max((e["version"] for e in _read_catalog(root)), default=0)
-
-
 def publish(root: str, pins: dict[str, int]) -> int:
     """Atomically publish a catalog version pinning each table to a
     specific committed version. Raises if any pin references a version

@@ -17,9 +17,6 @@ Layout:
   survivors — position alignment holds because exactly one task owns
   each file (the reason this is a from_items→map_batches source, not
   a read_parquet whose block splits would lose row offsets).
-- ``purge_deletes(root)``: compaction — rewrites each file with a
-  sidecar to only its surviving rows (atomic rename) and removes the
-  vector; reads before/after are identical.
 
 Scale shape: everything is per-file parallel with no shuffle; a
 deletion vector is ≤ n_rows/8 bytes and only exists for touched
@@ -113,30 +110,3 @@ def read_with_deletes(root: str, *, columns: list[str] | None = None):
 
     return (rd.from_arrow(pa.table({"file": files}))
             .map_batches(load, batch_format="pyarrow", batch_size=1))
-
-
-def purge_deletes(root: str) -> int:
-    """Compact merge-on-read state away: rewrite every file that has a
-    deletion vector to its surviving rows (atomic rename), drop the
-    vector. Returns the number of files rewritten."""
-    import ray
-
-    @ray.remote
-    def rewrite(fname: str) -> int:
-        path = os.path.join(root, fname)
-        t = pq.read_table(path)
-        mask = _load_vec(root, fname, t.num_rows)
-        if not mask.any():
-            return 0
-        tmp = path + ".compact.tmp"
-        pq.write_table(t.filter(pa.array(~mask)), tmp)
-        os.replace(tmp, path)
-        os.remove(_vec_path(root, fname))
-        return 1
-
-    vec_dir = os.path.join(root, _DELETES)
-    if not os.path.isdir(vec_dir):
-        return 0
-    touched = [f for f in _data_files(root)
-               if os.path.exists(_vec_path(root, f))]
-    return sum(ray.get([rewrite.remote(f) for f in touched]))

@@ -29,8 +29,8 @@ from typing import Any
 
 MANIFEST_DIR = "_manifests"
 # {5,}: the :05d writer GROWS past its pad at scale (>100k waves) — a
-# fixed width would make completed_waves silently unload them and
-# resume re-run forever
+# fixed width would make load_manifests silently skip them and resume
+# re-run forever
 _WAVE_RE = re.compile(r"^wave-(\d{5,})\.json$")
 
 
@@ -70,10 +70,6 @@ def load_manifests(out_dir: str) -> dict[int, dict[str, Any]]:
                 payload = json.load(f)
             out[int(m.group(1))] = payload
     return out
-
-
-def completed_waves(out_dir: str) -> set[int]:
-    return set(load_manifests(out_dir))
 
 
 def summarize(out_dir: str) -> dict[str, Any]:

@@ -30,7 +30,7 @@ import os
 import pandas as pd
 import pyarrow as pa
 
-from ..stages.groups import arrow_out, bucketed_group_apply
+from ..stages.groups import bucketed_group_apply
 
 _LOG = "_commits.json"
 
@@ -114,31 +114,6 @@ def compact(root: str, *, key: str, num_buckets: int = 16) -> int:
     return version
 
 
-def vacuum(root: str) -> list[int]:
-    """Retention GC (Delta VACUUM): physically delete commit
-    directories that a later ``compact()`` has superseded — they are
-    only reachable by as-of reads BEFORE the compaction, which trade
-    away once history is no longer needed. Returns the vacuumed
-    versions. Log entries gain ``vacuumed: true``; ``read_as_of`` at a
-    version that would need a vacuumed directory raises instead of
-    silently resolving from partial history."""
-    import shutil
-
-    log = _read_log(root)
-    gone = []
-    for e in log:
-        if e.get("compacted_by") is not None and not e.get("vacuumed"):
-            shutil.rmtree(os.path.join(root, e["dir"]),
-                          ignore_errors=True)
-            e["vacuumed"] = True
-            gone.append(e["version"])
-    tmp = _log_path(root) + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(log, f)
-    os.replace(tmp, _log_path(root))
-    return gone
-
-
 def read_as_of(root: str, version: int, *, key: str,
                num_buckets: int = 16):
     """Dataset of the table's state as of ``version``: for every key,
@@ -151,11 +126,6 @@ def read_as_of(root: str, version: int, *, key: str,
               if e["version"] <= version
               and not (e.get("compacted_by") is not None
                        and e["compacted_by"] <= version)]
-    lost = [e["version"] for e in needed if e.get("vacuumed")]
-    if lost:
-        raise ValueError(
-            f"read as-of v{version} needs vacuumed commit(s) {lost}; "
-            "history before the compaction was garbage-collected")
     dirs = [os.path.join(root, e["dir"]) for e in needed]
     if not dirs:
         raise ValueError(f"no commits at or before version {version}")

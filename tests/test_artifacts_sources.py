@@ -5,37 +5,7 @@ import pyarrow as pa
 from pdf_to_text_ray.fixtures.corpus import make_pages_table
 from pdf_to_text_ray.pipelines.artifacts import lookup_artifact, write_artifacts
 from pdf_to_text_ray.pipelines.extract import extract_pages
-from pdf_to_text_ray.sources.pages import read_loose_documents, read_pages
 from pdf_to_text_ray.stages.segment import CSV_HEADERS, records_batch, segment_batch
-
-
-def test_read_pages_pruning(ray_session, tmp_path):
-    import pyarrow.parquet as pq
-
-    pages, _ = make_pages_table(30, seed=5)
-    p = str(tmp_path / "pages.parquet")
-    pq.write_table(pages, p)
-    ds = read_pages(str(tmp_path), columns=["url", "html"])
-    assert set(ds.schema().names) == {"url", "html"}
-    try:
-        read_pages(str(tmp_path), columns=["nope"])
-        assert False, "should reject unknown column"
-    except ValueError:
-        pass
-
-
-def test_read_loose_documents(ray_session, tmp_path):
-    from pdf_to_text_ray.fixtures.pdfgen import make_pdf
-    import random
-
-    pdf, expected, _ = make_pdf(random.Random(3), n_pages=1)
-    f = tmp_path / "doc.pdf"
-    f.write_bytes(pdf)
-    ds = read_loose_documents(str(tmp_path))
-    out = extract_pages(ds.map_batches(
-        lambda t: t.append_column("text", pa.array([None] * t.num_rows, pa.string())),
-        batch_format="pyarrow"), batch_size=4).to_pandas()
-    assert len(out) == 1 and out.iloc[0]["text_extracted"] == expected
 
 
 def test_artifacts_roundtrip_and_lookup(ray_session, tmp_path):
@@ -85,19 +55,17 @@ def test_partitioned_text_artifact(ray_session, tmp_path):
 
 
 def test_schema_validation(ray_session):
-    import pyarrow as pa
-    import pytest as _pytest
-
-    from pdf_to_text_ray.schemas import TEXT_SCHEMA, validate_schema
+    """extract_pages emits every TEXT_SCHEMA column with its declared
+    type; extra columns (lang, error_kind) ride along."""
+    from pdf_to_text_ray.schemas import TEXT_SCHEMA
 
     import ray.data as rd
 
     pages, _ = make_pages_table(20, seed=18)
-    out = extract_pages(rd.from_arrow(pages), batch_size=8)
-    validate_schema(out, TEXT_SCHEMA)  # lang column extra → allowed (subset)
-    bad = pa.table({"url": ["x"]})
-    with _pytest.raises(ValueError, match="missing column"):
-        validate_schema(bad, TEXT_SCHEMA)
+    out = extract_pages(rd.from_arrow(pages), batch_size=8).schema()
+    got = dict(zip(out.names, out.types))
+    for field in TEXT_SCHEMA:
+        assert got.get(field.name) == field.type, (field, got)
 
 
 def test_versioned_table_time_travel_and_orphan_commits(ray_session, tmp_path):
@@ -384,31 +352,6 @@ def test_lsm_compact_keeps_int64_keys_exact(ray_session, tmp_path):
         compact(runs2, "key", str(tmp_path / "level2"), num_ranges=2)
 
 
-def test_vacuum_deletes_compacted_history(ray_session, tmp_path):
-    import pyarrow as pa
-    import pytest
-    import ray.data as rd
-
-    from pdf_to_text_ray.state.versioned import (commit, compact,
-                                                 read_as_of, vacuum)
-
-    root = str(tmp_path / "vt")
-    commit(rd.from_arrow(pa.table({"k": [1, 2], "v": [10, 20]})),
-           root, key="k")
-    commit(rd.from_arrow(pa.table({"k": [2], "v": [21]})), root, key="k")
-    cv = compact(root, key="k")
-    assert sorted(vacuum(root)) == [1, 2]
-    # post-compaction reads still work from the compacted files
-    got = (read_as_of(root, cv, key="k").to_pandas()
-           .sort_values("k").reset_index(drop=True))
-    assert got["v"].tolist() == [10, 21]
-    # pre-compaction history is gone — loud failure, not partial data
-    with pytest.raises(ValueError, match="vacuumed"):
-        read_as_of(root, 1, key="k")
-    # idempotent: second vacuum finds nothing new
-    assert vacuum(root) == []
-
-
 def test_catalog_pins_are_atomic_and_validated(ray_session, tmp_path):
     import pyarrow as pa
     import pytest
@@ -453,8 +396,7 @@ def test_catalog_concurrent_publishes_never_lost(ray_session, tmp_path):
     import pyarrow as pa
     import ray.data as rd
 
-    from pdf_to_text_ray.state.catalog import (latest_catalog_version,
-                                               pins_as_of, publish,
+    from pdf_to_text_ray.state.catalog import (pins_as_of, publish,
                                                table_root)
     from pdf_to_text_ray.state.versioned import commit
 
@@ -466,48 +408,5 @@ def test_catalog_concurrent_publishes_never_lost(ray_session, tmp_path):
         versions = list(ex.map(lambda _: publish(root, {"a": 1}),
                                range(16)))
     assert sorted(versions) == list(range(1, 17))  # none lost, no dup
-    assert latest_catalog_version(root) == 16
     for v in versions:
         assert pins_as_of(root, v) == {"a": 1}
-
-
-def test_sharded_csv_concatenation_matches_single_file(ray_session, tmp_path):
-    """write_csv_sharded (VERDICT r04 task 6): parallel per-batch shard
-    files + manifest; concatenating the shards' data rows in manifest
-    order reproduces the single-file artifact byte-for-byte, and a
-    re-run is idempotent (resume skips finished shards)."""
-    import json
-
-    import ray.data as rd
-
-    from pdf_to_text_ray.pipelines.artifacts import write_csv_sharded
-
-    lines = [f'"{i:06d}","ean{i}",{i % 7},{i}.00' for i in range(1000)]
-    ds = rd.from_arrow(pa.table({"line": pa.array(lines, pa.string())})) \
-           .repartition(8)
-    out = str(tmp_path / "csv_shards")
-    manifest = write_csv_sharded(ds, out, rows_per_shard=100)
-
-    assert manifest["total_rows"] == 1000
-    assert len(manifest["shards"]) >= 8, "expected a multi-shard export"
-    # manifest persisted
-    on_disk = json.load(open(os.path.join(out, "_MANIFEST.json")))
-    assert on_disk == manifest
-
-    single = CSV_HEADERS + "\n" + "\n".join(lines) + "\n"
-    parts = [CSV_HEADERS + "\n"]
-    for sh in manifest["shards"]:
-        body = open(os.path.join(out, sh["file"])).read()
-        head, _, data = body.partition("\n")
-        assert head == CSV_HEADERS  # every shard independently parseable
-        assert data.count("\n") == sh["rows"]
-        parts.append(data)
-    assert "".join(parts) == single
-
-    # idempotent resume: second run rewrites nothing
-    mtimes = {f: os.path.getmtime(os.path.join(out, f))
-              for f in os.listdir(out) if f.endswith(".csv")}
-    manifest2 = write_csv_sharded(ds, out, rows_per_shard=100)
-    assert manifest2 == manifest
-    for f, m in mtimes.items():
-        assert os.path.getmtime(os.path.join(out, f)) == m

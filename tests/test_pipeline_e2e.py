@@ -86,13 +86,13 @@ def test_wave_resume(ray_session, tmp_path, corpus):
     # first run dies after 2 waves
     with pytest.raises(RuntimeError, match="fault injection"):
         run_extract(in_dir, out_dir, files_per_wave=1, fault_inject_after=2)
-    assert mstate.completed_waves(out_dir) == {0, 1}
+    assert set(mstate.load_manifests(out_dir)) == {0, 1}
     before = {w: _written(out_dir, w) for w in (0, 1)}
     assert all(before.values())
 
     # restart completes only the remaining waves
     summary = run_extract(in_dir, out_dir, files_per_wave=1)
-    assert mstate.completed_waves(out_dir) == {0, 1, 2, 3}
+    assert set(mstate.load_manifests(out_dir)) == {0, 1, 2, 3}
     assert summary["waves"] == 4
     assert {w: _written(out_dir, w) for w in (0, 1)} == before
 
@@ -465,7 +465,7 @@ def test_incremental_append_shifts_waves_and_self_heals(ray_session,
                        os.path.join(in_dir, f"part-m{s}.parquet"))
 
     run_extract(in_dir, out_dir, files_per_wave=2)
-    done_before = mstate.completed_waves(out_dir)
+    done_before = set(mstate.load_manifests(out_dir))
 
     # append the held shard under a name that SORTS FIRST
     pq.write_table(held, os.path.join(in_dir, "part-a0.parquet"))

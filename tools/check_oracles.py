@@ -65,6 +65,9 @@ def main():
                     help="read every table in this many blocks")
     args = ap.parse_args()
     sf_dir, only = args.sf_dir, set(args.names)
+    # one line per query, flushed as it prints: a hung or killed run
+    # still shows every result it reached
+    sys.stdout.reconfigure(line_buffering=True)
 
     import ray
 
