@@ -398,7 +398,6 @@ def run_extract(
     files_per_wave: int = DEFAULT_FILES_PER_WAVE,
     dedup: bool = True,
     batch_size: int = DEFAULT_BATCH_SIZE,
-    fault_inject_after: int | None = None,
     partition_output: int | None = None,
     winners_mode: str = "broadcast",
     sort_output: bool = False,
@@ -526,12 +525,9 @@ def run_extract(
         metrics["docs_per_sec"] = round(metrics["rows"] / elapsed, 2) if elapsed else 0.0
         return metrics, digest
 
-    ran = 0
     for wave_idx, wave_files in enumerate(waves):
         if wave_idx in done:
             continue
-        if fault_inject_after is not None and ran >= fault_inject_after:
-            raise RuntimeError(f"fault injection: stopping before wave {wave_idx}")
         metrics, digest = run_wave(wave_files, mstate.wave_dir(out_dir, wave_idx))
         payload: dict[str, Any] = {
             "wave": wave_idx,
@@ -542,5 +538,4 @@ def run_extract(
         if dedup:
             payload["survivor_digest"] = digest
         mstate.write_manifest(out_dir, wave_idx, payload)
-        ran += 1
     return mstate.summarize(out_dir)

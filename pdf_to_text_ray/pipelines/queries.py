@@ -24,7 +24,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from pdf_to_text_ray.stages.groups import arrow_out
+from pdf_to_text_ray.stages.groups import arrow_out, grouped_partials
 
 
 # A Ray Data map task costs 10-15 ms of CPU across the process tree
@@ -185,7 +185,7 @@ def q1_pricing_summary(sf_dir: str):
     The classifier's int64 gradient quantization is the precedent.
 
     The (l_returnflag, l_linestatus) key has at most 6 values at any
-    scale, so the partials merge in one pandas groupby with no
+    scale, so ``grouped_partials`` merges per-batch partials with no
     exchange. ``l_quantity`` holds integers, so its float sums are
     exact in any order."""
     keys = ["l_returnflag", "l_linestatus"]
@@ -199,24 +199,16 @@ def q1_pricing_summary(sf_dir: str):
         d = t["l_discount"].to_numpy(zero_copy_only=False)
         pc_ = cents(p)
         dc = cents(1.0 - d)
-        r = pa.table({
+        return pa.table({
             "l_returnflag": t["l_returnflag"],
             "l_linestatus": t["l_linestatus"],
-            "l_quantity": t["l_quantity"],
-            "price_c": pa.array(pc_, pa.int64()),
+            "sum_qty": t["l_quantity"],
+            "base_c": pa.array(pc_, pa.int64()),
             "disc_c": pa.array(pc_ * dc, pa.int64()),
-        }).group_by(keys).aggregate([
-            ("l_quantity", "sum"), ("price_c", "sum"), ("disc_c", "sum"),
-            ([], "count_all")])
-        return pa.table({"l_returnflag": r["l_returnflag"],
-                         "l_linestatus": r["l_linestatus"],
-                         "sum_qty": r["l_quantity_sum"],
-                         "base_c": r["price_c_sum"],
-                         "disc_c": r["disc_c_sum"],
-                         "count_order": r["count_all"]})
+        })
 
-    out = (ds.map_batches(partial, batch_format="pyarrow").to_pandas()
-           .groupby(keys, as_index=False).sum())
+    out = grouped_partials(ds, keys, sums=["sum_qty", "base_c", "disc_c"],
+                           count="count_order", prep=partial)
     out["avg_qty"] = round2(out["sum_qty"] / out["count_order"])
     out["sum_base_price"] = round2(out["base_c"].astype("int64")
                                    / 100.0)
@@ -474,13 +466,9 @@ SELECT doc_id, upper(substr(coalesce(text,''), 1, 10)) AS head FROM documents
 def shuffled_lang_distribution(sf_dir: str):
     """random_shuffle + repartition are content-preserving: the grouped
     counts after a seeded shuffle must equal the unshuffled oracle."""
-    from ray.data.aggregate import Count
-
     ds = _read(sf_dir, "documents", ["lang"])
     ds = ds.random_shuffle(seed=7).repartition(8)
-    out = ds.groupby("lang").aggregate(Count(alias_name="n_docs")).to_pandas()
-    out["n_docs"] = out["n_docs"].astype("int64")
-    return out
+    return grouped_partials(ds, "lang", count="n_docs")
 
 
 def top_events_per_user(sf_dir: str):
@@ -933,7 +921,7 @@ def event_value_histogram(sf_dir: str, bins: int = 20):
     mm = ds.aggregate(ragg.Min("value"), ragg.Max("value"))
     mn, mx = float(mm["min(value)"]), float(mm["max(value)"])
 
-    def partial(t: pa.Table) -> pa.Table:
+    def binned(t: pa.Table) -> pa.Table:
         v = t["value"].to_numpy(zero_copy_only=False)
         v = v[~np.isnan(v)]
         if mx > mn:
@@ -941,16 +929,9 @@ def event_value_histogram(sf_dir: str, bins: int = 20):
                            bins - 1).astype("int64")
         else:
             b = np.zeros(len(v), dtype="int64")
-        cnt = np.bincount(b, minlength=bins)
-        nz = np.flatnonzero(cnt)
-        return pa.table({"bin": nz.astype("int64"),
-                         "n": cnt[nz].astype("int64")})
+        return pa.table({"bin": b})
 
-    parts = ds.map_batches(partial, batch_format="pyarrow")
-    out = parts.groupby("bin").sum("n")
-    return out.map_batches(
-        lambda t: t.rename_columns(["bin", "n_events"]),
-        batch_format="pyarrow")
+    return grouped_partials(ds, "bin", count="n_events", prep=binned)
 
 
 HISTOGRAM_SQL = """
@@ -1040,17 +1021,10 @@ def events_watermark_late(sf_dir: str, delay_minutes: int = 10):
         ts = t["ts_us"].to_numpy(zero_copy_only=False).astype(np.float64)
         late = (~np.isnan(wm)) & (ts < wm - delay_us)
         return pa.table({"event_type": t["event_type"],
-                         "late": pa.array(late.astype(np.int64))})
+                         "n_late": pa.array(late.astype(np.int64))})
 
-    from ray.data.aggregate import Count, Sum
-
-    out = (scanned.map_batches(flag, batch_format="pyarrow")
-           .groupby("event_type")
-           .aggregate(Count(alias_name="n"), Sum("late", alias_name="n_late"))
-           .to_pandas())
-    out["n"] = out["n"].astype("int64")
-    out["n_late"] = out["n_late"].astype("int64")
-    return out
+    return grouped_partials(scanned, "event_type", sums=["n_late"],
+                            count="n", prep=flag)
 
 
 WATERMARK_LATE_SQL = """
@@ -1073,8 +1047,6 @@ def source_epoch_plan(sf_dir: str, *, alpha: float = 0.5,
     upweights small sources), then epochs = tokens the plan draws from
     a source / tokens it has. One grouped token count; the plan math
     runs on the SMALL per-source frame."""
-    from ray.data.aggregate import Count, Sum
-
     ds = _read(sf_dir, "documents", ["source", "text"])
 
     def toks(t: pa.Table) -> pa.Table:
@@ -1082,19 +1054,14 @@ def source_epoch_plan(sf_dir: str, *, alpha: float = 0.5,
                         t["text"].to_pylist()], dtype=np.int64)
         return pa.table({"source": t["source"], "n_tokens": pa.array(n)})
 
-    agg = (ds.map_batches(toks, batch_format="pyarrow")
-           .groupby("source")
-           .aggregate(Sum("n_tokens", alias_name="n_tokens"),
-                      Count(alias_name="n_docs"))
-           .to_pandas())
+    agg = grouped_partials(ds, "source", sums=["n_tokens"], count="n_docs",
+                           prep=toks)
     share = agg["n_tokens"] / agg["n_tokens"].sum()
     w = share ** alpha
     w = w / w.sum()
     agg["weight"] = round2(w * 100.0)         # percent, rounded
     agg["epochs"] = round2(budget_tokens * w / agg["n_tokens"])
-    agg["n_tokens"] = agg["n_tokens"].astype("int64")
-    agg["n_docs"] = agg["n_docs"].astype("int64")
-    return agg.sort_values("source").reset_index(drop=True)
+    return agg
 
 
 SOURCE_EPOCH_SQL = """
@@ -1367,8 +1334,6 @@ def orders_with_discounted_items(sf_dir: str):
     for the probe (Bloom filter at corpus scale)."""
     import ray
 
-    from ray.data.aggregate import Count
-
     li = _lineitem(sf_dir, ["l_orderkey", "l_discount"])
     keys_pdf = (
         li.map_batches(
@@ -1389,14 +1354,8 @@ def orders_with_discounted_items(sf_dir: str):
         hit = (ks[idx] == ids) if len(ks) else np.zeros(len(ids), bool)
         return t.filter(pa.array(hit))
 
-    out = (
-        orders.map_batches(semi, batch_format="pyarrow")
-        .groupby("o_orderpriority")
-        .aggregate(Count(alias_name="n_orders"))
-        .to_pandas()
-    )
-    out["n_orders"] = out["n_orders"].astype("int64")
-    return out
+    return grouped_partials(orders, "o_orderpriority", count="n_orders",
+                            prep=semi)
 
 
 EXISTS_SEMI_SQL = """
@@ -1442,8 +1401,6 @@ SELECT event_id, user_id, delta FROM (
 
 def orders_monthly_volume(sf_dir: str):
     """Calendar bucketing: order count + revenue per (year, month)."""
-    from ray.data.aggregate import Count, Sum
-
     ds = _read(sf_dir, "orders", ["o_orderdate", "o_totalprice"])
 
     def bucketize(t: pa.Table) -> pa.Table:
@@ -1451,17 +1408,11 @@ def orders_monthly_volume(sf_dir: str):
                     pc.month(t["o_orderdate"]))
         return pa.table({
             "ym": pc.cast(ym, pa.int64()),
-            "o_totalprice": t["o_totalprice"],
+            "revenue": t["o_totalprice"],
         })
 
-    out = (
-        ds.map_batches(bucketize, batch_format="pyarrow")
-        .groupby("ym")
-        .aggregate(Count(alias_name="n_orders"),
-                   Sum("o_totalprice", alias_name="revenue"))
-        .to_pandas()
-    )
-    out["n_orders"] = out["n_orders"].astype("int64")
+    out = grouped_partials(ds, "ym", sums=["revenue"], count="n_orders",
+                           prep=bucketize)
     out["revenue"] = round2(out["revenue"])
     return out
 
@@ -1480,11 +1431,9 @@ def event_props_k_stats(sf_dir: str):
     event type."""
     import json
 
-    from ray.data.aggregate import Count, Sum
-
     ds = _read(sf_dir, "events", ["event_type", "props"])
 
-    def parse(t: pa.Table) -> pd.DataFrame:
+    def parse(t: pa.Table) -> pa.Table:
         # vectorized fast path for the flat {"k": <number>} shape (one
         # compiled-regex extract over the batch); rows with any other
         # JSON shape fall back to a real json.loads — semantics
@@ -1507,22 +1456,11 @@ def event_props_k_stats(sf_dir: str):
             k[miss] = vals
         else:
             k = k.to_numpy()
-        return pd.DataFrame({
-            "event_type": t["event_type"].to_pandas(), "k": k})
+        return pa.table({"event_type": t["event_type"],
+                         "k_sum": pa.array(k, pa.float64())})
 
-    # event_type is a ~5-key domain: a full Aggregate exchange would
-    # shuffle every (type, k) row to land 5 groups. Per-batch partial
-    # (sum, count) pairs merge on the driver instead — O(batches × 5)
-    # rows move, nothing corpus-sized (small_key_counts discipline).
-    def part(t: pa.Table) -> pa.Table:
-        df = parse(t)
-        g = (df.groupby("event_type", sort=False)["k"]
-             .agg(k_sum="sum", n="size").reset_index())
-        g["n"] = g["n"].astype("int64")
-        return arrow_out(g)
-
-    out = (ds.map_batches(part, batch_format="pyarrow").to_pandas()
-           .groupby("event_type", as_index=False).sum())
+    out = grouped_partials(ds, "event_type", sums=["k_sum"], count="n",
+                           prep=parse)
     res = pd.DataFrame({
         "event_type": out["event_type"],
         "avg_k": round2(out["k_sum"] / out["n"]),
@@ -2259,12 +2197,8 @@ WHERE CAST(('0x' || substr(md5(doc_id::VARCHAR || ':{SAMPLE_SEED}'),
 
 
 def lang_distribution(sf_dir: str):
-    from ray.data.aggregate import Count
-
-    ds = _read(sf_dir, "documents", ["lang"])
-    out = ds.groupby("lang").aggregate(Count(alias_name="n_docs")).to_pandas()
-    out["n_docs"] = out["n_docs"].astype("int64")
-    return out
+    return grouped_partials(_read(sf_dir, "documents", ["lang"]), "lang",
+                            count="n_docs")
 
 
 LANG_DIST_SQL = "SELECT lang, count(*) AS n_docs FROM documents GROUP BY lang"
@@ -2378,17 +2312,18 @@ def block_quality(sf_dir: str):
     (main.ts:94; SURVEY.md §2.5)."""
     import ray.data as rd
 
-    from ray.data.aggregate import Sum
-
     from ..stages.segment import records_batch, segment_batch
 
     text = rd.read_parquet(_ensure_extracted(sf_dir),
                            columns=["url", "text_extracted"])
     blocks = text.map_batches(segment_batch, batch_format="pyarrow")
-    records = blocks.map_batches(records_batch, batch_format="pyarrow")
-    sums = records.groupby(["url", "block_idx"]).aggregate(
-        Sum("importe", alias_name="sum_importe")
-    ).to_pandas()
+    # a url's records come from its own row, so per-batch partials are
+    # nearly complete and no exchange is needed
+    sums = grouped_partials(
+        blocks, ["url", "block_idx"], sums=["sum_importe"],
+        prep=lambda t: records_batch(t).select(
+            ["url", "block_idx", "importe"]).rename_columns(
+            ["url", "block_idx", "sum_importe"]))
     totals = blocks.select_columns(["url", "block_idx", "block_total"]).to_pandas()
     out = totals.merge(sums, on=["url", "block_idx"], how="left")
     out["sum_importe"] = round2(out["sum_importe"].fillna(0.0))
@@ -3496,14 +3431,10 @@ def q5_local_supplier_volume(sf_dir: str):
             np.isin(s_nat, list(names.keys()))
         b = b[keep]
         rev = (b["l_extendedprice"] * (1 - b["l_discount"]))
-        part = pd.DataFrame({"n_nat": s_nat[keep], "revenue": rev})
-        return arrow_out(part.groupby("n_nat", as_index=False)["revenue"].sum())
+        return pa.table({"n_nat": s_nat[keep], "revenue": rev.to_numpy()})
 
-    from ray.data.aggregate import Sum
-
-    agg = (joined.map_batches(revenue_partial, batch_format="pyarrow")
-           .groupby("n_nat").aggregate(Sum("revenue", alias_name="revenue"))
-           .to_pandas())
+    agg = grouped_partials(joined, "n_nat", sums=["revenue"],
+                           prep=revenue_partial)
     agg["n_name"] = agg["n_nat"].map(n_names)
     agg["revenue"] = round2(agg["revenue"])
     return (agg[["n_name", "revenue"]]
@@ -4055,15 +3986,10 @@ def customers_above_nation_avg(sf_dir: str):
     the correlated scan never re-executes."""
     import ray
 
-    from ray.data.aggregate import Count, Sum
-
     ds = _read(sf_dir, "customer", ["c_custkey", "c_nationkey", "c_acctbal"])
-    avg = (ds.groupby("c_nationkey")
-           .aggregate(Sum("c_acctbal", alias_name="s"),
-                      Count(alias_name="n"))
-           .to_pandas().sort_values("c_nationkey"))
+    avg = grouped_partials(ds, "c_nationkey", sums=["c_acctbal"], count="n")
     ref = ray.put((avg["c_nationkey"].to_numpy(),
-                   (avg["s"] / avg["n"]).to_numpy()))
+                   (avg["c_acctbal"] / avg["n"]).to_numpy()))
 
     def above(t: pa.Table) -> pa.Table:
         keys, means = ray.get(ref)
@@ -4221,12 +4147,10 @@ def label_centroids(sf_dir: str):
             "n": pa.array(np.repeat(counts, d).astype("int64"), pa.int64()),
         })
 
-    parts = (ds.map_batches(partial, batch_format="pyarrow")
-             .to_pandas()
-             .groupby(["label", "idx"], as_index=False)[["s", "n"]].sum())
+    parts = grouped_partials(ds, ["label", "idx"], sums=["s", "n"],
+                             prep=partial)
     parts["centroid"] = round6(parts["s"] / parts["n"])
-    return (parts[["label", "idx", "centroid"]]
-            .sort_values(["label", "idx"]).reset_index(drop=True))
+    return parts[["label", "idx", "centroid"]]
 
 
 CENTROID_SQL = """
@@ -4335,8 +4259,6 @@ def q4_order_priority(sf_dir: str):
     to max(l_shipdate) per orderkey (per-batch partial, then a
     key+8-byte groupby), the survivor test rides the bucketed join
     with the date-pruned orders, and the answer is a 5-row count."""
-    from ray.data.aggregate import Max, Sum
-
     from pdf_to_text_ray.stages.joins import bucketed_hash_join
 
     def ship_partial(t: pa.Table) -> pa.Table:
@@ -4374,18 +4296,13 @@ def q4_order_priority(sf_dir: str):
         left_cols=["ship_ns"],
         right_cols=["o_orderdate", "o_orderpriority"])
 
-    def cnt(t: pa.Table) -> pa.Table:
+    def late(t: pa.Table) -> pa.Table:
         b = t.to_pandas()
         b = b[b["ship_ns"] > b["o_orderdate"].astype("int64")]
-        return arrow_out(b.groupby("o_orderpriority", as_index=False)
-                         .size().rename(columns={"size": "order_count"}))
+        return pa.table({"o_orderpriority": b["o_orderpriority"].to_numpy()})
 
-    out = (joined.map_batches(cnt, batch_format="pyarrow")
-           .groupby("o_orderpriority")
-           .aggregate(Sum("order_count", alias_name="order_count"))
-           .to_pandas())
-    out["order_count"] = out["order_count"].astype("int64")
-    return out.sort_values("o_orderpriority").reset_index(drop=True)
+    return grouped_partials(joined, "o_orderpriority", count="order_count",
+                            prep=late)
 
 
 Q4_SQL = """
@@ -4747,26 +4664,16 @@ def q22_idle_customers(sf_dir: str):
         has = (keys[idx] == ck) if len(keys) else np.zeros(len(ck), bool)
         bal = t["c_acctbal"].to_numpy(zero_copy_only=False)
         keep = (~has) & (bal > avg_bal)
-        part = pd.DataFrame({"seg": ck[keep] % 10, "bal": bal[keep],
-                             "one": np.ones(keep.sum(), np.int64)})
-        g = part.groupby("seg", as_index=False).agg(
-            numcust=("one", "sum"), totacctbal=("bal", "sum"))
-        return arrow_out(g)
+        return pa.table({"seg": ck[keep] % 10, "totacctbal": bal[keep]})
 
-    from ray.data.aggregate import Sum
-
-    out = (cust.map_batches(idle, batch_format="pyarrow")
-           .groupby("seg")
-           .aggregate(Sum("numcust", alias_name="numcust"),
-                      Sum("totacctbal", alias_name="totacctbal"))
-           .to_pandas())
+    out = grouped_partials(cust, "seg", sums=["totacctbal"],
+                           count="numcust", prep=idle)
     if out.empty:  # every customer ordered — keep the typed schema
         return pd.DataFrame({"seg": pd.Series([], dtype="int64"),
                              "numcust": pd.Series([], dtype="int64"),
                              "totacctbal": pd.Series([], dtype="float64")})
-    out["numcust"] = out["numcust"].astype("int64")
     out["totacctbal"] = round2(out["totacctbal"])
-    return out.sort_values("seg").reset_index(drop=True)
+    return out
 
 
 Q22_SQL = """
@@ -4835,20 +4742,14 @@ def q7_nation_volume(sf_dir: str):
         keep = (((s_nat == 1) & (c_nat == 2))
                 | ((s_nat == 2) & (c_nat == 1)))
         b = b[keep]
-        part = pd.DataFrame({
+        return pa.table({
             "supp_nation": s_nat[keep], "cust_nation": c_nat[keep],
-            "l_year": b["l_shipdate"].dt.year.to_numpy(),
-            "volume": (b["l_extendedprice"] * (1 - b["l_discount"]))})
-        return arrow_out(part.groupby(
-            ["supp_nation", "cust_nation", "l_year"],
-            as_index=False)["volume"].sum())
+            "l_year": b["l_shipdate"].dt.year.to_numpy().astype(np.int64),
+            "volume": (b["l_extendedprice"]
+                       * (1 - b["l_discount"])).to_numpy()})
 
-    from ray.data.aggregate import Sum
-
-    agg = (joined.map_batches(volume_partial, batch_format="pyarrow")
-           .groupby(["supp_nation", "cust_nation", "l_year"])
-           .aggregate(Sum("volume", alias_name="volume"))
-           .to_pandas())
+    agg = grouped_partials(joined, ["supp_nation", "cust_nation", "l_year"],
+                           sums=["volume"], prep=volume_partial)
     if agg.empty:  # no trade between the pair at this sf
         return pd.DataFrame({"supp_nation": pd.Series([], dtype=object),
                              "cust_nation": pd.Series([], dtype=object),
@@ -4856,7 +4757,6 @@ def q7_nation_volume(sf_dir: str):
                              "volume": pd.Series([], dtype="float64")})
     agg["supp_nation"] = agg["supp_nation"].map(names)
     agg["cust_nation"] = agg["cust_nation"].map(names)
-    agg["l_year"] = agg["l_year"].astype("int64")
     agg["volume"] = round2(agg["volume"])
     return (agg.sort_values(["supp_nation", "cust_nation", "l_year"])
             .reset_index(drop=True))
@@ -4980,9 +4880,9 @@ def nation_supplier_rank(sf_dir: str):
     """rank() vs dense_rank() over a grouped count (ties are real —
     25 nations share supplier counts). The count is distributed; the
     ranking runs on the 25-row grouped result."""
-    per_nation = (_read(sf_dir, "supplier", ["s_suppkey", "s_nationkey"])
-                  .groupby("s_nationkey").count().to_pandas()
-                  .rename(columns={"count()": "n_supp"}))
+    per_nation = grouped_partials(
+        _read(sf_dir, "supplier", ["s_nationkey"]), "s_nationkey",
+        count="n_supp")
     nation = _read(sf_dir, "nation", ["n_nationkey", "n_name"]).to_pandas()
     out = nation.merge(per_nation, left_on="n_nationkey",
                        right_on="s_nationkey", how="left")
@@ -5013,39 +4913,23 @@ def domain_stats(sf_dir: str):
     cardinality rides a distinct-pairs reduction — both shuffles move
     only (source, partial) rows."""
     from ..stages.analysis import token_stats_batch
-    from ray.data.aggregate import Count, Sum
 
     docs = _read(sf_dir, "documents", ["source", "lang", "text", "n_chars"])
 
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        s = token_stats_batch(b)
-        part = pd.DataFrame({"source": b["source"],
-                             "n_tokens": s["n_tokens"],
-                             "n_chars": b["n_chars"]})
-        g = part.groupby("source", as_index=False).agg(
-            n_docs=("n_tokens", "size"), total_tokens=("n_tokens", "sum"),
-            sum_chars=("n_chars", "sum"))
-        return g
+    def partial(t: pa.Table) -> pa.Table:
+        s = token_stats_batch(t.to_pandas())
+        return pa.table({"source": t["source"],
+                         "total_tokens": pa.array(s["n_tokens"], pa.int64()),
+                         "sum_chars": t["n_chars"]})
 
-    agg = (docs.map_batches(lambda t: arrow_out(partial(t.to_pandas())),
-                            batch_format="pyarrow")
-           .groupby("source")
-           .aggregate(Sum("n_docs", alias_name="n_docs"),
-                      Sum("total_tokens", alias_name="total_tokens"),
-                      Sum("sum_chars", alias_name="sum_chars"))
-           .to_pandas())
-    langs = (docs.map_batches(
-        lambda t: t.select(["source", "lang"]), batch_format="pyarrow")
-        .groupby(["source", "lang"]).count()
-        .groupby("source").aggregate(Count(alias_name="n_langs"))
-        .to_pandas())
+    agg = grouped_partials(docs, "source", sums=["total_tokens", "sum_chars"],
+                           count="n_docs", prep=partial)
+    langs = (grouped_partials(docs, ["source", "lang"], count="n")
+             .groupby("source").size().rename("n_langs").reset_index())
     out = agg.merge(langs, on="source")
     out["avg_chars"] = round2(out["sum_chars"] / out["n_docs"])
-    for c in ("n_docs", "total_tokens", "n_langs"):
-        out[c] = out[c].astype("int64")
-    return (out[["source", "n_docs", "total_tokens", "avg_chars",
-                 "n_langs"]]
-            .sort_values("source").reset_index(drop=True))
+    out["n_langs"] = out["n_langs"].astype("int64")
+    return out[["source", "n_docs", "total_tokens", "avg_chars", "n_langs"]]
 
 
 DOMAIN_STATS_SQL = r"""
@@ -5280,7 +5164,6 @@ def events_zorder_box_query(sf_dir: str):
     at write time buys selectivity-proportional box scans forever
     after. Oracle replays the box on the flat table."""
     import ray.data as rd
-    from ray.data.aggregate import Count, Sum
 
     from ..stages.zorder import zonemap_box_files, zorder_layout
 
@@ -5308,14 +5191,10 @@ def events_zorder_box_query(sf_dir: str):
             pc.and_(pc.greater_equal(t["ts"], pa.scalar(t_lo)),
                     pc.less(t["ts"], pa.scalar(t_hi))))),
         batch_format="pyarrow")
-    out = (ds.groupby("event_type")
-           .aggregate(Count(alias_name="n"),
-                      Sum("value", alias_name="total_value"))
-           .to_pandas())
-    out["n"] = out["n"].astype("int64")
+    out = grouped_partials(ds, "event_type", sums=["value"], count="n") \
+        .rename(columns={"value": "total_value"})
     out["total_value"] = round2(out["total_value"])
-    return (out[["event_type", "n", "total_value"]]
-            .sort_values("event_type").reset_index(drop=True))
+    return out[["event_type", "n", "total_value"]]
 
 
 EVENTS_ZORDER_BOX_SQL = r"""
@@ -5732,26 +5611,17 @@ def q8_market_share(sf_dir: str):
         sidx = np.clip(np.searchsorted(sk, ls), 0, len(sk) - 1)
         s_nat = np.where(sk[sidx] == ls, sn[sidx], -1)
         rev = (b["l_extendedprice"] * (1 - b["l_discount"])).to_numpy()
-        part_df = pd.DataFrame({
-            "o_year": b["o_year"].to_numpy(),
-            "nation_rev": np.where(s_nat == 3, rev, 0.0),
-            "total_rev": rev})
-        return arrow_out(part_df.groupby("o_year", as_index=False).sum())
+        return pa.table({"o_year": b["o_year"].to_numpy().astype(np.int64),
+                         "nation_rev": np.where(s_nat == 3, rev, 0.0),
+                         "total_rev": rev})
 
-    from ray.data.aggregate import Sum
-
-    agg = (joined.map_batches(share_partial, batch_format="pyarrow")
-           .groupby("o_year")
-           .aggregate(Sum("nation_rev", alias_name="nation_rev"),
-                      Sum("total_rev", alias_name="total_rev"))
-           .to_pandas())
+    agg = grouped_partials(joined, "o_year", sums=["nation_rev", "total_rev"],
+                           prep=share_partial)
     if agg.empty:
         return pd.DataFrame({"o_year": pd.Series([], dtype="int64"),
                              "mkt_share": pd.Series([], dtype="float64")})
-    agg["o_year"] = agg["o_year"].astype("int64")
     agg["mkt_share"] = round2(agg["nation_rev"] / agg["total_rev"])
-    return (agg[["o_year", "mkt_share"]]
-            .sort_values("o_year").reset_index(drop=True))
+    return agg[["o_year", "mkt_share"]]
 
 
 Q8_SQL = """
@@ -5775,14 +5645,12 @@ def nation_presence_counts(sf_dir: str):
     side keeps the other's count, absents are 0). Both inputs are
     distributed grouped counts; the outer merge runs on the two tiny
     per-nation results."""
-    cust = (_read(sf_dir, "customer", ["c_custkey", "c_nationkey"])
-            .groupby("c_nationkey").count().to_pandas()
-            .rename(columns={"count()": "n_customers",
-                             "c_nationkey": "nationkey"}))
-    supp = (_read(sf_dir, "supplier", ["s_suppkey", "s_nationkey"])
-            .groupby("s_nationkey").count().to_pandas()
-            .rename(columns={"count()": "n_suppliers",
-                             "s_nationkey": "nationkey"}))
+    cust = grouped_partials(
+        _read(sf_dir, "customer", ["c_nationkey"]), "c_nationkey",
+        count="n_customers").rename(columns={"c_nationkey": "nationkey"})
+    supp = grouped_partials(
+        _read(sf_dir, "supplier", ["s_nationkey"]), "s_nationkey",
+        count="n_suppliers").rename(columns={"s_nationkey": "nationkey"})
     out = cust.merge(supp, on="nationkey", how="outer")
     out["n_customers"] = out["n_customers"].fillna(0).astype("int64")
     out["n_suppliers"] = out["n_suppliers"].fillna(0).astype("int64")
@@ -5839,13 +5707,9 @@ def events_ivm_counts(sf_dir: str):
     per-batch arithmetic — ZERO extra shuffle beyond the two tiny
     grouped partials. Oracle recomputes the v2 aggregate from scratch,
     so any drift between maintained and true state hash-mismatches."""
-    from ray.data.aggregate import Count, Sum
-
     ds = _read(sf_dir, "events", ["event_id", "event_type", "value"])
 
-    base = (ds.groupby("event_type")
-            .aggregate(Count(alias_name="n"), Sum("value", alias_name="v"))
-            .to_pandas())
+    base = grouped_partials(ds, "event_type", sums=["value"], count="n")
 
     def delta(t: pa.Table) -> pa.Table:
         ids = t["event_id"].to_numpy(zero_copy_only=False)
@@ -5861,15 +5725,12 @@ def events_ivm_counts(sf_dir: str):
                          "dn": pa.array(dn, pa.int64()),
                          "dv": pa.array(dv, pa.float64())})
 
-    d = (ds.map_batches(delta, batch_format="pyarrow")
-         .groupby("event_type")
-         .aggregate(Sum("dn", alias_name="dn"), Sum("dv", alias_name="dv"))
-         .to_pandas())
+    d = grouped_partials(ds, "event_type", sums=["dn", "dv"], prep=delta)
     out = base.merge(d, on="event_type", how="outer").fillna(0.0)
     return pd.DataFrame({
         "event_type": out["event_type"],
         "n": (out["n"] + out["dn"]).astype("int64"),
-        "total": round2(out["v"] + out["dv"]),
+        "total": round2(out["value"] + out["dv"]),
     }).sort_values("event_type").reset_index(drop=True)
 
 
@@ -6031,8 +5892,6 @@ def approx_distinct_users_per_type(sf_dir: str):
     sketch shape keyed. Oracle-checkable like approx_distinct_users:
     the exact per-group count (SQL-verified) plus a within-5% flag for
     each group's HLL estimate."""
-    from ray.data.aggregate import Count
-
     from ..stages.sketches import hll_estimate, hll_merge, hll_sketch
 
     ds = _read(sf_dir, "events", ["event_type", "user_id"])
@@ -6053,14 +5912,13 @@ def approx_distinct_users_per_type(sf_dir: str):
         [np.frombuffer(b, np.uint8) for b in g["sketch"]]))
         for et, g in sk.groupby("event_type")}
 
-    exact = (ds.groupby(["event_type", "user_id"]).count()
-             .groupby("event_type").aggregate(Count(alias_name="n_users"))
-             .to_pandas())
-    exact["n_users"] = exact["n_users"].astype("int64")
+    # distinct (type, user) pairs need the exchange; types do not
+    exact = grouped_partials(ds.groupby(["event_type", "user_id"]).count(),
+                             "event_type", count="n_users")
     exact["approx_within_5pct"] = [
         bool(abs(est[et] - n) / max(n, 1) < 0.05)
         for et, n in zip(exact["event_type"], exact["n_users"])]
-    return exact.sort_values("event_type").reset_index(drop=True)
+    return exact
 
 
 GROUPED_HLL_SQL = """
@@ -6218,39 +6076,25 @@ def lineitem_regression(sf_dir: str):
     flag) from five distributed partial sums — the algebraic-aggregate
     shape: each batch emits (n, Σx, Σy, Σxy, Σx²) per group, one tiny
     groupby merges them, the slope/intercept division runs on G rows."""
-    from ray.data.aggregate import Sum
-
     ds = _lineitem(sf_dir, ["l_returnflag", "l_quantity",
                             "l_extendedprice"])
 
     def partial(t: pa.Table) -> pa.Table:
-        df = pd.DataFrame({
-            "l_returnflag": t["l_returnflag"].to_numpy(
-                zero_copy_only=False),
-            "x": t["l_quantity"].to_numpy(zero_copy_only=False),
-            "y": t["l_extendedprice"].to_numpy(zero_copy_only=False)})
-        df["xy"] = df["x"] * df["y"]
-        df["xx"] = df["x"] * df["x"]
-        df["n"] = np.ones(len(df), np.int64)
-        return arrow_out(df.groupby("l_returnflag", as_index=False)
-                         [["n", "x", "y", "xy", "xx"]].sum())
+        x = t["l_quantity"].to_numpy(zero_copy_only=False)
+        y = t["l_extendedprice"].to_numpy(zero_copy_only=False)
+        return pa.table({"l_returnflag": t["l_returnflag"], "sx": x,
+                         "sy": y, "sxy": x * y, "sxx": x * x})
 
-    agg = (ds.map_batches(partial, batch_format="pyarrow")
-           .groupby("l_returnflag")
-           .aggregate(Sum("n", alias_name="n"), Sum("x", alias_name="sx"),
-                      Sum("y", alias_name="sy"),
-                      Sum("xy", alias_name="sxy"),
-                      Sum("xx", alias_name="sxx"))
-           .to_pandas())
+    agg = grouped_partials(ds, "l_returnflag",
+                           sums=["sx", "sy", "sxy", "sxx"], count="n",
+                           prep=partial)
     denom = agg["n"] * agg["sxx"] - agg["sx"] ** 2
     agg["slope"] = round2((agg["n"] * agg["sxy"]
                            - agg["sx"] * agg["sy"]) / denom)
     agg["intercept"] = round2((agg["sy"] - (agg["n"] * agg["sxy"]
                                             - agg["sx"] * agg["sy"])
                                / denom * agg["sx"]) / agg["n"])
-    agg["n"] = agg["n"].astype("int64")
-    return (agg[["l_returnflag", "n", "slope", "intercept"]]
-            .sort_values("l_returnflag").reset_index(drop=True))
+    return agg[["l_returnflag", "n", "slope", "intercept"]]
 
 
 REGRESSION_SQL = """
@@ -6526,10 +6370,8 @@ def embedding_outliers(sf_dir: str, k: int = 20):
             "n": pa.array(np.repeat(np.bincount(inv), m.shape[1])
                           .astype("int64"), pa.int64())})
 
-    parts = (ds.map_batches(cent_partial, batch_format="pyarrow")
-             .to_pandas()
-             .groupby(["label", "idx"], as_index=False)[["s", "n"]].sum()
-             .sort_values(["label", "idx"]))
+    parts = grouped_partials(ds, ["label", "idx"], sums=["s", "n"],
+                             prep=cent_partial)
     labels = parts["label"].unique()
     dim = parts["idx"].max() + 1
     cents = (parts["s"] / parts["n"]).to_numpy().reshape(len(labels), dim)
@@ -6606,7 +6448,6 @@ def events_zonemap_range_query(sf_dir: str):
     file-skipping layer a 100 TB time-partitioned corpus relies on
     (pytest asserts real pruning: files_read < files_total)."""
     import ray.data as rd
-    from ray.data.aggregate import Count, Sum
 
     out_dir = _build_once(
         _cache_dir("events_zoned", 1, os.path.join(sf_dir, "events.parquet")),
@@ -6626,13 +6467,10 @@ def events_zonemap_range_query(sf_dir: str):
             pc.greater_equal(t["ts"], pa.scalar(lo)),
             pc.less(t["ts"], pa.scalar(hi)))),
         batch_format="pyarrow")
-    out = (ds.groupby("event_type")
-           .aggregate(Count(alias_name="n"),
-                      Sum("value", alias_name="total_value"))
-           .to_pandas())
-    out["n"] = out["n"].astype("int64")
+    out = grouped_partials(ds, "event_type", sums=["value"], count="n") \
+        .rename(columns={"value": "total_value"})
     out["total_value"] = round2(out["total_value"])
-    return out.sort_values("event_type").reset_index(drop=True)
+    return out
 
 
 ZONEMAP_SQL = """
@@ -6653,7 +6491,6 @@ def events_schema_evolution(sf_dir: str):
     union stays streaming. Split rule: even event_ids were written by
     the v1 writer."""
     import ray.data as rd
-    from ray.data.aggregate import Count, Sum
 
     def build(root: str) -> None:
         ev = _read(sf_dir, "events", ["event_id", "user_id", "event_type",
@@ -6689,13 +6526,11 @@ def events_schema_evolution(sf_dir: str):
         fill_v1, batch_format="pyarrow")
     v2 = rd.read_parquet(os.path.join(root, "v2")).map_batches(
         order_v2, batch_format="pyarrow")
-    out = (v1.union(v2).groupby("event_type")
-           .aggregate(Count(alias_name="n"),
-                      Sum("value", alias_name="total_value"))
-           .to_pandas())
-    out["n"] = out["n"].astype("int64")
+    out = grouped_partials(v1.union(v2), "event_type", sums=["value"],
+                           count="n") \
+        .rename(columns={"value": "total_value"})
     out["total_value"] = round2(out["total_value"])
-    return out.sort_values("event_type").reset_index(drop=True)
+    return out
 
 
 SCHEMA_EVOLUTION_SQL = """
@@ -6729,13 +6564,10 @@ def events_window_distinct_users(sf_dir: str):
         return (d.groupby(["event_type", "day_us"])
                 .size().reset_index(name="n_users"))
 
-    parts = bucketed_group_apply(
+    return grouped_partials(bucketed_group_apply(
         ds.map_batches(bucket, batch_format="pyarrow"), "user_id",
-        per_bucket, num_buckets=16).to_pandas()
-    out = parts.groupby(["event_type", "day_us"], as_index=False).sum()
-    out["n_users"] = out["n_users"].astype("int64")
-    return (out.sort_values(["event_type", "day_us"])
-            .reset_index(drop=True))
+        per_bucket, num_buckets=16), ["event_type", "day_us"],
+        sums=["n_users"])
 
 
 WINDOW_DISTINCT_SQL = """
@@ -6750,8 +6582,6 @@ def lineitem_covariance(sf_dir: str):
     """Pairwise sample covariances among three measures from one pass
     of partial sums (n, Σx, Σy, Σxy per pair) — the mergeable shape;
     the cov division runs on 3 rows."""
-    from ray.data.aggregate import Sum
-
     pairs = [("l_quantity", "l_extendedprice"),
              ("l_quantity", "l_discount"),
              ("l_extendedprice", "l_discount")]
@@ -6768,17 +6598,11 @@ def lineitem_covariance(sf_dir: str):
         return arrow_out(pd.DataFrame(
             rows, columns=["pair", "n", "sx", "sy", "sxy"]))
 
-    agg = (ds.map_batches(partial, batch_format="pyarrow")
-           .groupby("pair")
-           .aggregate(Sum("n", alias_name="n"), Sum("sx", alias_name="sx"),
-                      Sum("sy", alias_name="sy"),
-                      Sum("sxy", alias_name="sxy"))
-           .to_pandas())
+    agg = grouped_partials(ds, "pair", sums=["n", "sx", "sy", "sxy"],
+                           prep=partial)
     agg["covar"] = round2((agg["sxy"] - agg["sx"] * agg["sy"] / agg["n"])
                           / (agg["n"] - 1))
-    agg["n"] = agg["n"].astype("int64")
-    return (agg[["pair", "n", "covar"]]
-            .sort_values("pair").reset_index(drop=True))
+    return agg[["pair", "n", "covar"]]
 
 
 COVARIANCE_SQL = """
@@ -6803,7 +6627,6 @@ def winsorized_value_mean(sf_dir: str):
     import ray
 
     from pdf_to_text_ray.stages.quantiles import exact_group_quantiles
-    from ray.data.aggregate import Sum
 
     ds = _read(sf_dir, "events", ["event_type", "value"])
     q = exact_group_quantiles(ds, "event_type", "value", [0.1, 0.9],
@@ -6819,19 +6642,13 @@ def winsorized_value_mean(sf_dir: str):
             "v": t["value"].to_numpy(zero_copy_only=False)})
         lo = df["event_type"].map(lambda e: b[e][0]).to_numpy()
         hi = df["event_type"].map(lambda e: b[e][1]).to_numpy()
-        df["v"] = np.clip(df["v"].to_numpy(), lo, hi)
-        df["n"] = np.ones(len(df), np.int64)
-        return arrow_out(df.groupby("event_type", as_index=False)
-                         [["v", "n"]].sum())
+        return pa.table({"event_type": t["event_type"],
+                         "s": np.clip(df["v"].to_numpy(), lo, hi)})
 
-    agg = (ds.map_batches(clipped, batch_format="pyarrow")
-           .groupby("event_type")
-           .aggregate(Sum("v", alias_name="s"), Sum("n", alias_name="n"))
-           .to_pandas())
+    agg = grouped_partials(ds, "event_type", sums=["s"], count="n",
+                           prep=clipped)
     agg["wmean"] = round2(agg["s"] / agg["n"])
-    agg["n"] = agg["n"].astype("int64")
-    return (agg[["event_type", "n", "wmean"]]
-            .sort_values("event_type").reset_index(drop=True))
+    return agg[["event_type", "n", "wmean"]]
 
 
 WINSORIZED_SQL = """
@@ -6989,30 +6806,19 @@ def host_link_summary(sf_dir: str):
     totals (outlinks, internal share, nav share). Hosts parse
     vectorized (one regex pass per batch); per-batch partials keep the
     final groupby at |hosts| rows."""
-    from ray.data.aggregate import Sum
-
     edges = page_links(sf_dir)
 
     def partial(t: pa.Table) -> pa.Table:
         b = t.to_pandas()
         host = b["src_url"].str.extract(r"^[a-z+]+://([^/]+)",
                                         expand=False).fillna("")
-        part = pd.DataFrame({
+        return arrow_out(pd.DataFrame({
             "host": host.str.lower(),
-            "n_links": np.ones(len(b), np.int64),
             "n_internal": b["is_internal"].to_numpy().astype(np.int64),
-            "n_nav": b["is_nav"].to_numpy().astype(np.int64)})
-        return arrow_out(part.groupby("host", as_index=False).sum())
+            "n_nav": b["is_nav"].to_numpy().astype(np.int64)}))
 
-    out = (edges.map_batches(partial, batch_format="pyarrow")
-           .groupby("host")
-           .aggregate(Sum("n_links", alias_name="n_links"),
-                      Sum("n_internal", alias_name="n_internal"),
-                      Sum("n_nav", alias_name="n_nav"))
-           .to_pandas())
-    for c in ("n_links", "n_internal", "n_nav"):
-        out[c] = out[c].astype("int64")
-    return out.sort_values("host").reset_index(drop=True)
+    return grouped_partials(edges, "host", sums=["n_internal", "n_nav"],
+                            count="n_links", prep=partial)
 
 
 def _host_edges(sf_dir: str):
@@ -7206,13 +7012,10 @@ def rebalance_lang_docs(sf_dir: str):
     broadcast; the filter is one streaming pass. (At 100 TB the md5
     hop becomes a vectorized 64-bit hash; md5 here is the documented
     cross-engine determinism trick.)"""
-    from ray.data.aggregate import Count
-
     from ..stages.sketches import md5_uniform
 
     ds = _read(sf_dir, "documents", ["doc_id", "lang"])
-    counts = (ds.groupby("lang").aggregate(Count(alias_name="n"))
-              .to_pandas())
+    counts = grouped_partials(ds, "lang", count="n")
     mn = float(counts["n"].min())
     rate = {r.lang: mn / float(r.n) for r in counts.itertuples()}
 
@@ -7436,7 +7239,7 @@ def user_activity_rollup(sf_dir: str):
     windows [day, day+6]) → second (day, user) distinct → count;
     stickiness = dau/wau is int/int IEEE-exact. Day joins restrict to
     days that actually occur."""
-    from ..stages.groups import bucketed_group_apply, small_key_counts
+    from ..stages.groups import bucketed_group_apply
 
     ds = _read(sf_dir, "events", ["ts", "user_id"])
 
@@ -7453,7 +7256,7 @@ def user_activity_rollup(sf_dir: str):
         ds.map_batches(pairs, batch_format="pyarrow"), "user_id",
         lambda df: df.drop_duplicates(["day", "user_id"]),
         num_buckets=16).materialize()  # scanned twice (dau + offsets)
-    dau = small_key_counts(du, "day", alias="dau")
+    dau = grouped_partials(du, "day", count="dau")
 
     def offsets(t: pa.Table) -> pa.Table:
         day = t["day"].to_numpy(zero_copy_only=False)
@@ -7467,7 +7270,7 @@ def user_activity_rollup(sf_dir: str):
         du.map_batches(offsets, batch_format="pyarrow"), "user_id",
         lambda df: df.drop_duplicates(["day", "user_id"]),
         num_buckets=16)
-    wau = small_key_counts(wau_pairs, "day", alias="wau")
+    wau = grouped_partials(wau_pairs, "day", count="wau")
     out = dau.merge(wau, on="day")  # inner: only days with own activity
     out["stickiness"] = (out["dau"].to_numpy(dtype=np.float64)
                          / out["wau"].to_numpy(dtype=np.float64))
@@ -7676,8 +7479,7 @@ def q9_profit_by_nation_year(sf_dir: str):
     is the bucketed fact-fact edge; part (price + name predicate) and
     supplier→nation ship once as broadcast sorted arrays (bounded by
     catalog size — the Q5/Q7 dimension pattern); per-batch partials
-    keep the final groupby at |nation|×|year| rows, so they merge on
-    the driver with no exchange.
+    keep the final groupby at |nation|×|year| rows with no exchange.
 
     Profit sums in exact int64 units of 1e-4 (Q1's fixed-point
     scheme): prices and discounts have 2 decimals and ``l_quantity``
@@ -7732,16 +7534,13 @@ def q9_profit_by_nation_year(sf_dir: str):
                   * (100 - cents(b["l_discount"]))
                   - cents(price[pidx])
                   * b["l_quantity"].to_numpy().astype(np.int64))
-        part = pd.DataFrame({
+        return pa.table({
             "n_nationkey": sn[sidx],
             "o_year": b["o_orderdate"].dt.year.to_numpy(),
             "profit_u": profit})
-        return arrow_out(part.groupby(["n_nationkey", "o_year"],
-                                      as_index=False).sum())
 
-    agg = (joined.map_batches(profit_partial, batch_format="pyarrow")
-           .to_pandas()
-           .groupby(["n_nationkey", "o_year"], as_index=False).sum())
+    agg = grouped_partials(joined, ["n_nationkey", "o_year"],
+                           sums=["profit_u"], prep=profit_partial)
     names = _read(sf_dir, "nation", ["n_nationkey", "n_name"]).to_pandas()
     agg["nation"] = agg["n_nationkey"].map(
         dict(zip(names["n_nationkey"], names["n_name"])))
@@ -7851,23 +7650,14 @@ def q12_late_shipment_priority(sf_dir: str):
         late = b["l_shipdate"] > b["o_orderdate"] + pd.Timedelta(days=60)
         b = b[late]
         high = b["o_orderpriority"].isin(("1-URGENT", "2-HIGH"))
-        part = pd.DataFrame({
+        return arrow_out(pd.DataFrame({
             "l_returnflag": b["l_returnflag"],
             "high_line_count": high.astype("int64"),
-            "low_line_count": (~high).astype("int64")})
-        return arrow_out(part.groupby("l_returnflag",
-                                      as_index=False).sum())
+            "low_line_count": (~high).astype("int64")}))
 
-    from ray.data.aggregate import Sum
-
-    out = (joined.map_batches(late_partial, batch_format="pyarrow")
-           .groupby("l_returnflag")
-           .aggregate(Sum("high_line_count", alias_name="high_line_count"),
-                      Sum("low_line_count", alias_name="low_line_count"))
-           .to_pandas())
-    for c in ("high_line_count", "low_line_count"):
-        out[c] = out[c].astype("int64")
-    return out.sort_values("l_returnflag").reset_index(drop=True)
+    return grouped_partials(joined, "l_returnflag",
+                            sums=["high_line_count", "low_line_count"],
+                            prep=late_partial)
 
 
 Q12_SQL = """
@@ -8088,25 +7878,11 @@ def orders_cube_volume(sf_dir: str):
     driver-side from the RAW sums (rounding only at the end, so both
     engines round once). Null group keys coalesce to 'ALL' on both
     sides (sentinel-safe: no real status/priority is 'ALL')."""
-    from ray.data.aggregate import Sum
-
-    def partial(t: pa.Table) -> pa.Table:
-        part = pd.DataFrame({
-            "status": t["o_orderstatus"].to_numpy(zero_copy_only=False),
-            "priority": t["o_orderpriority"].to_numpy(
-                zero_copy_only=False),
-            "n_orders": np.ones(t.num_rows, np.int64),
-            "total": t["o_totalprice"].to_numpy(zero_copy_only=False)})
-        return arrow_out(part.groupby(["status", "priority"],
-                                      as_index=False).sum())
-
-    fine = (_read(sf_dir, "orders",
-                  ["o_orderstatus", "o_orderpriority", "o_totalprice"])
-            .map_batches(partial, batch_format="pyarrow")
-            .groupby(["status", "priority"])
-            .aggregate(Sum("n_orders", alias_name="n_orders"),
-                       Sum("total", alias_name="total"))
-            .to_pandas())
+    fine = grouped_partials(
+        _read(sf_dir, "orders",
+              ["o_orderstatus", "o_orderpriority", "o_totalprice"]),
+        ["status", "priority"], sums=["total"], count="n_orders",
+        prep=lambda t: t.rename_columns(["status", "priority", "total"]))
 
     def roll(keys: list[str]) -> pd.DataFrame:
         if keys:
@@ -8142,8 +7918,6 @@ def lineitem_unpivot_metrics(sf_dir: str):
     (metric, val) rows INSIDE each batch (the wide→long reshape never
     materializes: each batch emits only its per-metric partials), then
     one |metrics|-row groupby merges sums/counts/extrema."""
-    from ray.data.aggregate import Max, Min, Sum
-
     measures = ("discount", "extendedprice", "quantity")
 
     def partial(t: pa.Table) -> pa.Table:
@@ -8159,19 +7933,13 @@ def lineitem_unpivot_metrics(sf_dir: str):
             "vmax": pa.array([float(cols[m].max()) for m in measures]),
         })
 
-    out = (_lineitem(sf_dir, ["l_quantity", "l_extendedprice",
-                              "l_discount"])
-           .map_batches(partial, batch_format="pyarrow")
-           .groupby("metric")
-           .aggregate(Sum("n", alias_name="n"),
-                      Sum("total", alias_name="total"),
-                      Min("vmin", alias_name="vmin"),
-                      Max("vmax", alias_name="vmax"))
-           .to_pandas())
-    out["n"] = out["n"].astype("int64")
+    out = grouped_partials(
+        _lineitem(sf_dir, ["l_quantity", "l_extendedprice", "l_discount"]),
+        "metric", sums=["n", "total"], mins=["vmin"], maxes=["vmax"],
+        prep=partial)
     for c in ("total", "vmin", "vmax"):
         out[c] = round2(out[c])
-    return out.sort_values("metric").reset_index(drop=True)
+    return out
 
 
 UNPIVOT_SQL = """
@@ -8221,8 +7989,6 @@ def event_transition_matrix(sf_dir: str):
     Each user's whole sequence lands in one bucket (hash partitioning);
     per bucket the lag is ONE vectorized grouped shift; the per-bucket
     pair counts pre-aggregate before the tiny |types|² groupby."""
-    from ray.data.aggregate import Sum
-
     from pdf_to_text_ray.stages.groups import bucketed_group_apply
 
     ds = _read(sf_dir, "events", ["user_id", "event_type", "ts",
@@ -8238,13 +8004,8 @@ def event_transition_matrix(sf_dir: str):
                             as_index=False).size()
         return out.rename(columns={"size": "n"})
 
-    out = (bucketed_group_apply(ds, "user_id", per_bucket)
-           .groupby(["from_type", "to_type"])
-           .aggregate(Sum("n", alias_name="n"))
-           .to_pandas())
-    out["n"] = out["n"].astype("int64")
-    return (out.sort_values(["from_type", "to_type"])
-            .reset_index(drop=True))
+    return grouped_partials(bucketed_group_apply(ds, "user_id", per_bucket),
+                            ["from_type", "to_type"], sums=["n"])
 
 
 TRANSITION_SQL = """
@@ -8262,26 +8023,16 @@ def orders_dow_volume(sf_dir: str):
     """Calendar-function rollup — order volume by ISO day-of-week
     (Mon=1..Sun=7). The dow derivation is one vectorized dt accessor
     per batch; partials collapse to ≤7 rows before the groupby."""
-    from ray.data.aggregate import Sum
-
     def partial(t: pa.Table) -> pa.Table:
-        b = t.to_pandas()
-        part = pd.DataFrame({
-            "dow": (b["o_orderdate"].dt.dayofweek + 1).astype("int64"),
-            "n_orders": np.ones(len(b), np.int64),
-            "total": b["o_totalprice"].to_numpy()})
-        return arrow_out(part.groupby("dow", as_index=False).sum())
+        dow = pc.add(pc.day_of_week(t["o_orderdate"]), 1)  # Mon=0
+        return pa.table({"dow": pc.cast(dow, pa.int64()),
+                         "total": t["o_totalprice"]})
 
-    out = (_read(sf_dir, "orders", ["o_orderdate", "o_totalprice"])
-           .map_batches(partial, batch_format="pyarrow")
-           .groupby("dow")
-           .aggregate(Sum("n_orders", alias_name="n_orders"),
-                      Sum("total", alias_name="total"))
-           .to_pandas())
-    out["dow"] = out["dow"].astype("int64")
-    out["n_orders"] = out["n_orders"].astype("int64")
+    out = grouped_partials(
+        _read(sf_dir, "orders", ["o_orderdate", "o_totalprice"]), "dow",
+        sums=["total"], count="n_orders", prep=partial)
     out["total"] = round2(out["total"])
-    return out.sort_values("dow").reset_index(drop=True)
+    return out
 
 
 DOW_SQL = """
@@ -8936,19 +8687,14 @@ def event_value_zscore(sf_dir: str):
     Σx²) per group — the only exchanged bytes — pass 2 broadcasts the
     tiny (mean, std) table and normalizes each batch vectorized via
     one ``pc.index_in`` gather."""
-    from ray.data.aggregate import Count, Sum
-
     ds = _read(sf_dir, "events", ["event_id", "event_type", "value"])
 
-    def add_sq(t: pa.Table) -> pa.Table:
-        return t.append_column("value_sq", pc.multiply(t["value"], t["value"]))
+    def moments(t: pa.Table) -> pa.Table:
+        return pa.table({"event_type": t["event_type"], "s1": t["value"],
+                         "s2": pc.multiply(t["value"], t["value"])})
 
-    stats = (ds.map_batches(add_sq, batch_format="pyarrow")
-             .groupby("event_type")
-             .aggregate(Sum("value", alias_name="s1"),
-                        Sum("value_sq", alias_name="s2"),
-                        Count(alias_name="n"))
-             .to_pandas())
+    stats = grouped_partials(ds, "event_type", sums=["s1", "s2"], count="n",
+                             prep=moments)
     n = stats["n"].to_numpy(dtype=np.float64)
     mean = stats["s1"].to_numpy() / n
     # sample variance from raw moments; n<2 → NULL (stddev_samp parity)
@@ -9162,10 +8908,9 @@ def events_partition_pruned_counts(sf_dir: str):
     ``event_type`` column projection), so at 100 TB a 3-day query
     reads 3 days of files — never the month. The oracle replays the
     same day predicate over the unpartitioned table."""
-    import ray.data as rd
-    from ray.data.aggregate import Count
-
     import glob
+
+    import ray.data as rd
 
     part_dir = _ensure_events_by_day(sf_dir)
     paths = [f for d in _PRUNED_DAYS
@@ -9174,8 +8919,8 @@ def events_partition_pruned_counts(sf_dir: str):
     if not paths:  # no events in the window at this sf
         return pd.DataFrame({"event_type": pd.Series([], dtype="object"),
                              "n_events": pd.Series([], dtype="int64")})
-    ds = rd.read_parquet(paths, columns=["event_type"])
-    return ds.groupby("event_type").aggregate(Count(alias_name="n_events"))
+    return grouped_partials(rd.read_parquet(paths, columns=["event_type"]),
+                            "event_type", count="n_events")
 
 
 PARTITION_PRUNED_SQL = f"""
@@ -9529,8 +9274,6 @@ def url_blocklist_filter(sf_dir: str):
     aggregate moves two small columns. URLs are synthesized
     deterministically from doc_id (testdata has no URL column; the
     oracle builds identical strings)."""
-    from ray.data.aggregate import Count, Sum
-
     from ..stages.urls import BlocklistFilter
 
     RULES = [("host1.example.com", "/p3"),
@@ -9549,22 +9292,14 @@ def url_blocklist_filter(sf_dir: str):
 
     docs = _read(sf_dir, "documents", ["doc_id"])
     flt = BlocklistFilter(RULES)
-    out = (docs.map_batches(lambda b: arrow_out(mk(b)),
-                            batch_format="pandas")
-           .map_batches(flt, batch_format="pyarrow")
-           .map_batches(lambda t: t.append_column(
-               "blocked_i",
-               pa.array(t["blocked"].to_numpy(zero_copy_only=False)
-                        .astype("int64"))).drop(["blocked", "path"]),
-               batch_format="pyarrow")
-           .groupby("host")
-           .aggregate(Count(alias_name="n_pages"),
-                      Sum("blocked_i", alias_name="n_blocked"))
-           .to_pandas())
-    out["n_pages"] = out["n_pages"].astype("int64")
-    out["n_blocked"] = out["n_blocked"].astype("int64")
+    out = grouped_partials(
+        docs.map_batches(lambda b: arrow_out(mk(b)), batch_format="pandas")
+        .map_batches(flt, batch_format="pyarrow"), "host",
+        sums=["n_blocked"], count="n_pages",
+        prep=lambda t: pa.table({"host": t["host"], "n_blocked": pc.cast(
+            t["blocked"], pa.int64())}))
     out["n_allowed"] = out["n_pages"] - out["n_blocked"]
-    return out.sort_values("host").reset_index(drop=True)
+    return out
 
 
 URL_BLOCKLIST_SQL = """
@@ -9601,8 +9336,6 @@ def event_type_trend(sf_dir: str):
     keeps full precision; the oracle replays the identical raw-moment
     formula (DuckDB's regr_slope uses a different single-pass update
     order, so the formula — not the builtin — is the contract)."""
-    from ray.data.aggregate import Count, Sum
-
     ds = _read(sf_dir, "events", ["event_type", "ts", "value"])
 
     def moments(t: pa.Table) -> pa.Table:
@@ -9611,30 +9344,24 @@ def event_type_trend(sf_dir: str):
         y = t["value"].to_numpy(zero_copy_only=False)
         return pa.table({
             "event_type": t["event_type"],
-            "x": pa.array(x, pa.float64()),
-            "y": pa.array(y, pa.float64()),
-            "xy": pa.array(x * y, pa.float64()),
-            "x2": pa.array(x * x, pa.float64()),
+            "sx": pa.array(x, pa.float64()),
+            "sy": pa.array(y, pa.float64()),
+            "sxy": pa.array(x * y, pa.float64()),
+            "sx2": pa.array(x * x, pa.float64()),
         })
 
-    g = (ds.map_batches(moments, batch_format="pyarrow")
-         .groupby("event_type")
-         .aggregate(Count(alias_name="n"),
-                    Sum("x", alias_name="sx"), Sum("y", alias_name="sy"),
-                    Sum("xy", alias_name="sxy"),
-                    Sum("x2", alias_name="sx2"))
-         .to_pandas())
+    g = grouped_partials(ds, "event_type", sums=["sx", "sy", "sxy", "sx2"],
+                         count="n", prep=moments)
     n = g["n"].astype("float64")
     denom = n * g["sx2"] - g["sx"] ** 2
     slope = (n * g["sxy"] - g["sx"] * g["sy"]) / denom
     intercept = (g["sy"] - slope * g["sx"]) / n
-    out = pd.DataFrame({
+    return pd.DataFrame({
         "event_type": g["event_type"],
-        "n": g["n"].astype("int64"),
+        "n": g["n"],
         "slope": round6(slope),
         "intercept": round6(intercept),
     })
-    return out.sort_values("event_type").reset_index(drop=True)
 
 
 EVENT_TYPE_TREND_SQL = """
@@ -9738,13 +9465,10 @@ def host_boilerplate_strip(sf_dir: str):
     lines = pages.map_batches(explode, batch_format="pandas") \
         .materialize()
 
-    # host totals (7 rows) via per-batch partials — no shuffle, and no
-    # empty pandas partitions from an Aggregate whose output partitions
-    # outnumber its 7 keys; the corpus-sized (host, line) counts still
-    # never reach the driver
-    from ..stages.groups import small_key_counts
+    # host totals (7 rows); the corpus-sized (host, line) counts never
+    # reach the driver
 
-    tot = small_key_counts(pages, "host", alias="n_docs")
+    tot = grouped_partials(pages, "host", count="n_docs")
     totals = dict(zip(tot["host"], tot["n_docs"]))
     hl = lines.groupby(["host", "line"]).aggregate(Count(alias_name="n"))
 
@@ -9763,13 +9487,11 @@ def host_boilerplate_strip(sf_dir: str):
     def strip(t: pa.Table) -> pa.Table:
         key = pc.binary_join_element_wise(t["host"], t["line"], "\n")
         kept = t.filter(pc.invert(pc.is_in(key, value_set=bp_keys)))
-        g = (kept.append_column("n", pc.utf8_length(kept["line"]))
-             .group_by("doc_id").aggregate([("n", "sum"), ("n", "count")]))
-        return pa.table({"doc_id": g["doc_id"], "s": g["n_sum"],
-                         "c": g["n_count"]})
+        return pa.table({"doc_id": kept["doc_id"],
+                         "s": pc.utf8_length(kept["line"])})
 
-    per_doc = (lines.map_batches(strip, batch_format="pyarrow").to_pandas()
-               .groupby("doc_id", as_index=False)[["s", "c"]].sum())
+    per_doc = grouped_partials(lines, "doc_id", sums=["s"], count="c",
+                               prep=strip)
     per_doc["n_chars_clean"] = (per_doc["s"] + per_doc["c"] - 1) \
         .astype("int64")
     all_docs = docs.select_columns(["doc_id"]).to_pandas()
@@ -10027,8 +9749,6 @@ def orders_grouping_sets(sf_dir: str):
     aggregate at the finest grain; every set re-sums from that tiny
     grouped frame, and g_year/g_pri disambiguate a genuine NULL key
     from a grouped-out column exactly as SQL's GROUPING() does."""
-    from ray.data.aggregate import Count, Sum
-
     ds = _read(sf_dir, "orders", ["o_orderdate", "o_orderpriority",
                                   "o_totalprice"])
 
@@ -10036,13 +9756,10 @@ def orders_grouping_sets(sf_dir: str):
         yr = pc.year(t["o_orderdate"])
         return pa.table({"o_year": pc.cast(yr, pa.int64()),
                          "o_orderpriority": t["o_orderpriority"],
-                         "o_totalprice": t["o_totalprice"]})
+                         "total": t["o_totalprice"]})
 
-    fine = (ds.map_batches(prep, batch_format="pyarrow")
-            .groupby(["o_year", "o_orderpriority"])
-            .aggregate(Count(alias_name="n"),
-                       Sum("o_totalprice", alias_name="total"))
-            .to_pandas())
+    fine = grouped_partials(ds, ["o_year", "o_orderpriority"],
+                            sums=["total"], count="n", prep=prep)
 
     def level(df, keys):
         if keys:
@@ -10356,13 +10073,9 @@ def events_windowed_dedup(sf_dir: str):
         return (g.groupby("event_type", as_index=False)
                 .agg(n_kept=("n_raw", "size"), n_raw=("n_raw", "sum")))
 
-    parts = bucketed_group_apply(
+    return grouped_partials(bucketed_group_apply(
         ev.map_batches(key, batch_format="pyarrow"), "user_id",
-        survivors, num_buckets=16).to_pandas()
-    out = parts.groupby("event_type", as_index=False).sum()
-    out["n_kept"] = out["n_kept"].astype("int64")
-    out["n_raw"] = out["n_raw"].astype("int64")
-    return out.sort_values("event_type").reset_index(drop=True)
+        survivors, num_buckets=16), "event_type", sums=["n_kept", "n_raw"])
 
 
 EVENTS_WINDOWED_DEDUP_SQL = """
@@ -10383,15 +10096,13 @@ def nation_revenue_share(sf_dir: str):
     region's customer account-balance total — one fine-grain
     distributed aggregate, region totals derived from the tiny grouped
     result and joined back without touching the fact table again."""
-    from ray.data.aggregate import Sum
-
     cust = _read(sf_dir, "customer", ["c_nationkey", "c_acctbal"])
     nation = _read(sf_dir, "nation").to_pandas()
     region = _read(sf_dir, "region").to_pandas()
 
-    per_nat = (cust.groupby("c_nationkey")
-               .aggregate(Sum("c_acctbal", alias_name="bal"))
-               .to_pandas())
+    per_nat = grouped_partials(cust, "c_nationkey", sums=["bal"],
+                               prep=lambda t: t.rename_columns(
+                                   ["c_nationkey", "bal"]))
     per_nat = per_nat.merge(
         nation[["n_nationkey", "n_name", "n_regionkey"]],
         left_on="c_nationkey", right_on="n_nationkey")
@@ -10496,8 +10207,6 @@ def event_trigram_paths(sf_dir: str):
     events and builds trigrams with two vectorized shifts (no per-user
     Python loop), then a tiny (path, n) aggregate. Ties break
     deterministically (n desc, path asc)."""
-    from ray.data.aggregate import Count
-
     from ..stages.groups import bucketed_group_apply
 
     ev = _read(sf_dir, "events", ["user_id", "ts", "event_id",
@@ -10517,10 +10226,10 @@ def event_trigram_paths(sf_dir: str):
         path = pd.Series(a) + ">" + pd.Series(b) + ">" + pd.Series(c)
         return pd.DataFrame({"path": path})
 
-    grams = bucketed_group_apply(ev, "user_id", paths, num_buckets=16)
-    out = (grams.groupby("path").aggregate(Count(alias_name="n"))
-           .to_pandas())
-    out["n"] = out["n"].astype("int64")
+    # at most |types|³ paths
+    out = grouped_partials(
+        bucketed_group_apply(ev, "user_id", paths, num_buckets=16), "path",
+        count="n")
     return (out.sort_values(["n", "path"], ascending=[False, True])
             .head(10).reset_index(drop=True))
 
@@ -10670,12 +10379,8 @@ def host_mirror_frame(docs, *, n_hosts: int = 7,
           .groupby(["host", "word"]).aggregate(Count(alias_name="c"))
           ).materialize()
 
-    # per-host distinct-word totals via per-batch partials over the
-    # already-distinct hw rows — no second Aggregate exchange (whose
-    # mostly-empty output partitions trip the RefBundle schema warning)
-    from ..stages.groups import small_key_counts
-
-    szs = small_key_counts(hw, "host")
+    # per-host distinct-word totals over the already-distinct hw rows
+    szs = grouped_partials(hw, "host", count="n")
     sizes = dict(zip(szs["host"], szs["n"]))
 
     def pairs(df: pd.DataFrame) -> pd.DataFrame:
@@ -10709,8 +10414,9 @@ def host_mirror_frame(docs, *, n_hosts: int = 7,
     # driver merge of ≤ buckets × distinct-pairs partials — the same
     # volume the final result holds anyway (the pair matrix IS the
     # output), so no Count exchange needed
-    parts = bucketed_group_apply(hw, "word", pairs,
-                                 num_buckets=num_buckets).to_pandas()
+    parts = grouped_partials(
+        bucketed_group_apply(hw, "word", pairs, num_buckets=num_buckets),
+        ["host_a", "host_b"], sums=["n_common"])
     drop_mask = parts["host_a"] == ""
     n_dropped = int(parts.loc[drop_mask, "n_common"].sum())
     if n_dropped:
@@ -10721,15 +10427,11 @@ def host_mirror_frame(docs, *, n_hosts: int = 7,
             "word(s) from intersection counts (similarities are "
             "lower bounds for pairs sharing them)",
             max_posting, n_dropped)
-    inter = (parts[~drop_mask]
-             .groupby(["host_a", "host_b"], as_index=False)["n_common"]
-             .sum())
-    inter["n_common"] = inter["n_common"].astype("int64")
+    inter = parts[~drop_mask].reset_index(drop=True)
     union = (inter["host_a"].map(sizes) + inter["host_b"].map(sizes)
              - inter["n_common"])
     inter["jaccard"] = round6(inter["n_common"] / union)
-    return (inter.sort_values(["host_a", "host_b"])
-            .reset_index(drop=True)), n_dropped
+    return inter, n_dropped
 
 
 def host_mirror_similarity(sf_dir: str):
@@ -10939,25 +10641,17 @@ def catalog_consistent_join(sf_dir: str):
         _cache_dir("catalog", 1, os.path.join(sf_dir, "events.parquet")),
         build)
 
-    # tier is a ≤3-key domain: two full groupby exchanges (sum + count)
-    # would each shuffle the joined fact AND re-execute the lazy join
-    # chain per consumer. One per-batch partial pass (tier, n, Σv)
-    # consumes the join once; the driver merges O(batches × 3) rows.
-    def tier_partial(t: pa.Table) -> pa.Table:
-        g = (t.select(["tier", "v"]).to_pandas()
-             .groupby("tier", sort=False)["v"]
-             .agg(n_events="size", total_value="sum").reset_index())
-        g["n_events"] = g["n_events"].astype("int64")
-        return arrow_out(g)
-
+    # tier is a ≤3-key domain: one partials pass per snapshot consumes
+    # the lazy join once
     frames = []
     for snap in (1, 2):
         fact = read_table(root, snap, "fact", key="event_id")
         dim = read_table(root, snap, "dim", key="user_id")
         j = broadcast_join(fact, dim.to_pandas(), on="user_id")
-        p = (j.map_batches(tier_partial, batch_format="pyarrow")
-             .to_pandas())
-        f = p.groupby("tier", as_index=False).sum()
+        f = grouped_partials(
+            j, "tier", sums=["total_value"], count="n_events",
+            prep=lambda t: t.select(["tier", "v"]).rename_columns(
+                ["tier", "total_value"]))
         f.insert(0, "snapshot", snap)
         frames.append(f)
     out = pd.concat(frames, ignore_index=True)
@@ -11501,20 +11195,15 @@ def event_value_boxplot(sf_dir: str):
             "value": t["value"].to_numpy(zero_copy_only=False)})
         df = df.join(f, on="event_type")
         inside = ((df["value"] >= df["lo_fence"])
-                  & (df["value"] <= df["hi_fence"]))
-        agg = (df.assign(v_in=df["value"].where(inside),
-                         is_out=(~inside).astype("int64"))
-               .groupby("event_type", as_index=False)
-               .agg(whisker_lo=("v_in", "min"),
-                    whisker_hi=("v_in", "max"),
-                    n_outliers=("is_out", "sum")))
-        return arrow_out(agg)
+                  & (df["value"] <= df["hi_fence"])).to_numpy()
+        v_in = pa.array(df["value"].to_numpy(), mask=~inside)
+        return pa.table({"event_type": t["event_type"],
+                         "whisker_lo": v_in, "whisker_hi": v_in,
+                         "n_outliers": pa.array((~inside).astype("int64"))})
 
-    parts = (ds.map_batches(fence_partial, batch_format="pyarrow")
-             .to_pandas())
-    w = parts.groupby("event_type", as_index=False).agg(
-        whisker_lo=("whisker_lo", "min"), whisker_hi=("whisker_hi", "max"),
-        n_outliers=("n_outliers", "sum"))
+    w = grouped_partials(ds, "event_type", sums=["n_outliers"],
+                         mins=["whisker_lo"], maxes=["whisker_hi"],
+                         prep=fence_partial)
     out = q.merge(w, on="event_type")
     for c in ("q1", "median", "q3", "iqr", "whisker_lo", "whisker_hi"):
         out[c] = round2(out[c])
@@ -11557,8 +11246,6 @@ def event_user_chisq(sf_dir: str):
     (the only exchange — |types|·|cohorts| cells), expected counts and
     the statistic assembled from the tiny table. The
     feature-vs-label dependence screen for dataset curation."""
-    from ray.data.aggregate import Count
-
     ev = _read(sf_dir, "events", ["event_type", "user_id"])
 
     def cohorted(t: pa.Table) -> pa.Table:
@@ -11566,9 +11253,8 @@ def event_user_chisq(sf_dir: str):
         return pa.table({"event_type": t["event_type"],
                          "cohort": pa.array(u % 3, pa.int64())})
 
-    cells = (ev.map_batches(cohorted, batch_format="pyarrow")
-             .groupby(["event_type", "cohort"])
-             .aggregate(Count(alias_name="n")).to_pandas())
+    cells = grouped_partials(ev, ["event_type", "cohort"], count="n",
+                             prep=cohorted)
     pivot = (cells.pivot_table(index="event_type", columns="cohort",
                                values="n", fill_value=0,
                                aggfunc="sum").astype("float64"))
@@ -11623,15 +11309,13 @@ def lineitem_price_outliers(sf_dir: str):
             "f": t["l_returnflag"].to_pandas(),
             "x": t["l_quantity"].to_numpy(zero_copy_only=False),
             "y": t["l_extendedprice"].to_numpy(zero_copy_only=False)})
-        df["xy"] = df["x"] * df["y"]
-        df["xx"] = df["x"] ** 2
-        df["yy"] = df["y"] ** 2
-        return arrow_out(df.groupby("f", as_index=False).agg(
-            n=("x", "size"), sx=("x", "sum"), sy=("y", "sum"),
-            sxy=("xy", "sum"), sxx=("xx", "sum"), syy=("yy", "sum")))
+        return arrow_out(pd.DataFrame({
+            "f": df["f"], "sx": df["x"], "sy": df["y"],
+            "sxy": df["x"] * df["y"], "sxx": df["x"] ** 2,
+            "syy": df["y"] ** 2}))
 
-    m = (li.map_batches(moments, batch_format="pyarrow").to_pandas()
-         .groupby("f", as_index=False).sum())
+    m = grouped_partials(li, "f", sums=["sx", "sy", "sxy", "sxx", "syy"],
+                         count="n", prep=moments)
     n, sx, sy = m["n"], m["sx"], m["sy"]
     sxy, sxx, syy = m["sxy"], m["sxx"], m["syy"]
     slope = (n * sxy - sx * sy) / (n * sxx - sx ** 2)
@@ -11653,12 +11337,11 @@ def lineitem_price_outliers(sf_dir: str):
             "y": t["l_extendedprice"].to_numpy(zero_copy_only=False)})
         df = df.join(mm, on="f")
         resid = df["y"] - (df["intercept"] + df["slope"] * df["x"])
-        df["is_out"] = (resid.abs() > 2 * df["sigma"]).astype("int64")
-        return arrow_out(df.groupby("f", as_index=False).agg(
-            n_outliers=("is_out", "sum"), n=("is_out", "size")))
+        return pa.table({"f": t["l_returnflag"], "n_outliers": pa.array(
+            (resid.abs() > 2 * df["sigma"]).to_numpy().astype("int64"))})
 
-    cnt = (li.map_batches(count_out, batch_format="pyarrow").to_pandas()
-           .groupby("f", as_index=False).sum())
+    cnt = grouped_partials(li, "f", sums=["n_outliers"], count="n",
+                           prep=count_out)
     out = model.merge(cnt, on="f").rename(columns={"f": "l_returnflag"})
     # round(4): the raw-moment closed form and DuckDB's stable
     # single-pass stddev agree to ~1e-6 absolute at Σy² ≈ 1e14 — the
@@ -11705,11 +11388,8 @@ def events_key_skew_profile(sf_dir: str):
     pre-aggregated groupby, the only exchange) reduce to the key
     distribution's Gini coefficient, Shannon entropy (bits), top-key
     share, and key count. Output is one row at any corpus size."""
-    from ray.data.aggregate import Count
-
-    ev = _read(sf_dir, "events", ["event_type"])
-    c = (ev.groupby("event_type").aggregate(Count(alias_name="n"))
-         .to_pandas())
+    c = grouped_partials(_read(sf_dir, "events", ["event_type"]),
+                         "event_type", count="n")
     x = np.sort(c["n"].to_numpy().astype("float64"))
     n = len(x)
     tot = x.sum()
@@ -11772,21 +11452,12 @@ def events_deletion_vectors(sf_dir: str):
         t["event_id"].to_numpy(zero_copy_only=False) % 97 == 0),
         columns=["event_id"])
 
-    def partial(t: pa.Table) -> pa.Table:
-        df = pd.DataFrame({
-            "event_type": t["event_type"].to_pandas(),
-            "value": t["value"].to_numpy(zero_copy_only=False)})
-        return arrow_out(df.groupby("event_type", as_index=False)
-                         .agg(n=("value", "size"),
-                              total_value=("value", "sum")))
-
-    parts = (read_with_deletes(root,
-                               columns=["event_type", "value"])
-             .map_batches(partial, batch_format="pyarrow").to_pandas())
-    out = parts.groupby("event_type", as_index=False).sum()
-    out["n"] = out["n"].astype("int64")
+    out = grouped_partials(
+        read_with_deletes(root, columns=["event_type", "value"]),
+        "event_type", sums=["total_value"], count="n",
+        prep=lambda t: t.rename_columns(["event_type", "total_value"]))
     out["total_value"] = round2(out["total_value"])
-    return out.sort_values("event_type").reset_index(drop=True)
+    return out
 
 
 DELETION_VECTORS_SQL = """
@@ -11987,10 +11658,9 @@ def part_copurchase_sssp(sf_dir: str, max_rounds: int = 6):
             return pa.table({"dst": pa.array(dst[first], pa.int64()),
                              "d": pa.array(d[first], pa.int64())})
 
-        mins = (edges.map_batches(relax, batch_format="pyarrow")
-                .to_pandas().groupby("dst")["d"].min())
+        mins = grouped_partials(edges, "dst", mins=["d"], prep=relax)
         changed = False
-        for node, d in mins.items():
+        for node, d in zip(mins["dst"], mins["d"]):
             node, d = int(node), int(d)
             if d < dist.get(node, 1 << 62):
                 dist[node] = d
@@ -12137,34 +11807,27 @@ def nb_lang_classify(sf_dir: str):
 
     docs = _read(sf_dir, "documents", ["doc_id", "text", "lang"])
 
-    def count_partial(b: pd.DataFrame) -> pa.Table:
+    def tokens(t: pa.Table) -> pa.Table:
+        b = t.to_pandas()
         toks = b["text"].fillna("").str.lower().str.split(" ")
         flat = toks.explode()
         flat = flat[flat.notna() & (flat != "")]
         if flat.empty:
             return pa.table({"lang": pa.array([], pa.string()),
-                             "b": pa.array([], pa.int64()),
-                             "c": pa.array([], pa.int64())})
+                             "b": pa.array([], pa.int64())})
         buckets = (_md5_token_hashes(flat.to_numpy(dtype=object))
                    % np.uint64(_NB_BUCKETS)).astype(np.int64)
-        df = pd.DataFrame({"lang": b["lang"].reindex(flat.index).to_numpy(),
-                           "b": buckets})
-        out = df.groupby(["lang", "b"], as_index=False).size()
-        return arrow_out(out.rename(columns={"size": "c"}))
+        return pa.table({"lang": b["lang"].reindex(flat.index).to_numpy(),
+                         "b": buckets})
 
     # driver merge bounded by langs × buckets × blocks (model-sized)
-    parts = (docs.map_batches(count_partial, batch_format="pandas")
-             .to_pandas())
-    counts = parts.groupby(["lang", "b"], as_index=False)["c"].sum()
+    counts = grouped_partials(docs, ["lang", "b"], count="c", prep=tokens)
     langs = sorted(counts["lang"].unique())
     totals = counts.groupby("lang")["c"].sum()
 
     n_docs = docs.count()
-    lang_docs = (docs.map_batches(
-        lambda t: pd.DataFrame({"lang": t["lang"].to_pandas()})
-        .groupby("lang", as_index=False).size(),
-        batch_format="pyarrow").to_pandas()
-        .groupby("lang")["size"].sum())
+    lang_docs = grouped_partials(docs, "lang", count="n") \
+        .set_index("lang")["n"]
 
     logp = {}
     priors = {}
@@ -12339,12 +12002,12 @@ def event_value_cusum(sf_dir: str):
         # NULL values must not count toward n (SQL avg/stddev_pop skip
         # them; pandas size does not) — drop them like event_value_auc.
         df = df[~np.isnan(df["v"].to_numpy())]
-        df["vv"] = df["v"] * df["v"]
-        return arrow_out(df.groupby("event_type", as_index=False).agg(
-            n=("v", "size"), s=("v", "sum"), ss=("vv", "sum")))
+        return arrow_out(pd.DataFrame({"event_type": df["event_type"],
+                                       "s": df["v"],
+                                       "ss": df["v"] * df["v"]}))
 
-    p = (ev.map_batches(mom, batch_format="pyarrow").to_pandas()
-         .groupby("event_type", as_index=False).sum())
+    p = grouped_partials(ev, "event_type", sums=["s", "ss"], count="n",
+                         prep=mom)
     m = p["s"] / p["n"]
     sd = np.sqrt(p["ss"] / p["n"] - m * m)
     stats = {t: (round(float(mu), 9), round(float(s), 9))
@@ -12430,13 +12093,11 @@ def ab_test_value_welch(sf_dir: str):
             "arm": (t["user_id"].to_numpy(zero_copy_only=False) % 2)
             .astype("int64"),
             "v": t["value"].to_numpy(zero_copy_only=False)})
-        df["vv"] = df["v"] * df["v"]
-        return arrow_out(df.groupby(["event_type", "arm"],
-                                    as_index=False).agg(
-            n=("v", "size"), s=("v", "sum"), ss=("vv", "sum")))
+        return arrow_out(df.rename(columns={"v": "s"})
+                         .assign(ss=df["v"] * df["v"]))
 
-    p = (ev.map_batches(mom, batch_format="pyarrow").to_pandas()
-         .groupby(["event_type", "arm"], as_index=False).sum())
+    p = grouped_partials(ev, ["event_type", "arm"], sums=["s", "ss"],
+                         count="n", prep=mom)
     p["mean"] = p["s"] / p["n"]
     p["var"] = (p["ss"] - p["s"] ** 2 / p["n"]) / (p["n"] - 1)
     a = p[p["arm"] == 0].set_index("event_type")
@@ -12548,7 +12209,8 @@ def langid_agreement_kappa(sf_dir: str):
     sets = {k: frozenset(v) for k, v in _STOPWORDS.items()}
     langs_sorted = np.array(sorted(sets))
 
-    def conf(b: pd.DataFrame) -> pa.Table:
+    def conf(t: pa.Table) -> pa.Table:
+        b = t.to_pandas()
         toks = b["text"].fillna("").str.lower().str.split(" ")
         flat = toks.explode()
         flat = flat[flat.notna() & (flat != "")]
@@ -12559,12 +12221,9 @@ def langid_agreement_kappa(sf_dir: str):
         mat = np.stack(counts, axis=1)
         best = np.argmax(mat, axis=1)
         pred = np.where(mat.max(axis=1) > 0, langs_sorted[best], "und")
-        df = pd.DataFrame({"a": b["lang"].to_numpy(), "b": pred})
-        return arrow_out(df.groupby(["a", "b"], as_index=False)
-                         .agg(c=("a", "size")))
+        return pa.table({"a": b["lang"].to_numpy(), "b": pred})
 
-    cm = (docs.map_batches(conf, batch_format="pandas").to_pandas()
-          .groupby(["a", "b"], as_index=False).sum())
+    cm = grouped_partials(docs, ["a", "b"], count="c", prep=conf)
     n = int(cm["c"].sum())
     tr = int(cm.loc[cm["a"] == cm["b"], "c"].sum())
     ra = cm.groupby("a")["c"].sum()
@@ -12723,14 +12382,12 @@ def part_adamic_adar(sf_dir: str):
     a bounded |S|·|V| frame exactly, whatever the batch cuts."""
     import ray
 
-    from ..stages.groups import small_key_counts
-
     adj = _copurchase_adj(sf_dir).materialize()
 
     # degrees via per-batch partials (|V| is pagerank-bounded driver
     # state; groupby().aggregate here walks |V| one-row groups at
     # Python speed — the measured sort-aggregate pathology)
-    deg_pd = small_key_counts(adj, "src", alias="d").sort_values("src")
+    deg_pd = grouped_partials(adj, "src", count="d")
     nodes = deg_pd["src"].to_numpy(dtype=np.int64)
     degs = deg_pd["d"].to_numpy(dtype=np.int64)
     seeds = np.sort(nodes)[:50]
@@ -12752,14 +12409,11 @@ def part_adamic_adar(sf_dir: str):
         m = m[m["u"] != m["v"]]
         zi = np.searchsorted(nd, m["z"].to_numpy())
         w = np.rint(1e12 / np.log(dg[zi].astype(np.float64)))
-        return arrow_out(pd.DataFrame({
-            "u": m["u"].to_numpy(), "v": m["v"].to_numpy(),
-            "aa": w.astype(np.int64)})
-            .groupby(["u", "v"], as_index=False)["aa"].sum())
+        return pa.table({"u": m["u"].to_numpy(), "v": m["v"].to_numpy(),
+                         "aa": w.astype(np.int64)})
 
-    part = adj.map_batches(wedges, batch_format="pyarrow",
-                           batch_size=16384).to_pandas()
-    sc = part.groupby(["u", "v"], as_index=False)["aa"].sum()
+    sc = grouped_partials(adj, ["u", "v"], sums=["aa"], prep=wedges,
+                          batch_size=16384)
     # exclude direct edges from the seeds (broadcast-scale: |S|·deg)
     big = int(nodes.max()) + 1
     excl = np.sort(seed_adj["src"].to_numpy(dtype=np.int64) * big
@@ -12812,10 +12466,8 @@ def part_clustering_coeff(sf_dir: str):
     bit-identical."""
     import ray
 
-    from ..stages.groups import small_key_counts
-
     adj = _copurchase_adj(sf_dir).materialize()
-    deg_pd = small_key_counts(adj, "src", alias="d").sort_values("src")
+    deg_pd = grouped_partials(adj, "src", count="d")
     nodes = deg_pd["src"].to_numpy(dtype=np.int64)
     degs = deg_pd["d"].to_numpy(dtype=np.int64)
     seeds = nodes[:50]
@@ -12850,10 +12502,8 @@ def part_clustering_coeff(sf_dir: str):
         return pa.table({"node": pa.array(out_n, pa.int64()),
                          "t2": pa.array(out_c, pa.int64())})
 
-    parts = (adj.map_batches(tri_partial, batch_format="pyarrow")
-             .to_pandas())
-    t2 = parts.groupby("node")["t2"].sum() if len(parts) else pd.Series(
-        dtype="int64")
+    parts = grouped_partials(adj, "node", sums=["t2"], prep=tri_partial)
+    t2 = dict(zip(parts["node"], parts["t2"]))
     coeff = np.array([
         round6(float(t2.get(int(u), 0)) / (float(d) * (d - 1)))[()]
         if d > 1 else 0.0
@@ -12912,12 +12562,10 @@ def event_value_calibration(sf_dir: str):
         bins = np.minimum(np.floor(pr * 10.0), 9.0).astype(np.int64)
         pos = pc.equal(t["event_type"], pa.scalar("purchase")) \
             .to_numpy(zero_copy_only=False).astype(np.int64)
-        g = (pd.DataFrame({"bin": bins, "n": 1, "s": pr, "p": pos})
-             .groupby("bin", as_index=False).sum())
-        return arrow_out(g)
+        return pa.table({"bin": bins, "s": pr, "p": pos})
 
-    parts = (ds.map_batches(partials, batch_format="pyarrow")
-             .to_pandas().groupby("bin", as_index=False).sum())
+    parts = grouped_partials(ds, "bin", sums=["s", "p"], count="n",
+                             prep=partials)
     nn = parts["n"].to_numpy(dtype=np.float64)
     out = pd.DataFrame({
         "bin": parts["bin"].astype("int64"),
@@ -13109,10 +12757,9 @@ def user_event_gini(sf_dir: str):
     arithmetic, so the single int/int division is bit-identical to
     the SQL window replay (ties in c are coefficient-sum invariant,
     so the tiebreak order cannot matter)."""
-    from ..stages.groups import small_key_counts
 
-    counts = small_key_counts(_read(sf_dir, "events", ["user_id"]),
-                              "user_id", alias="c")
+    counts = grouped_partials(_read(sf_dir, "events", ["user_id"]),
+                              "user_id", count="c")
     c = np.sort(counts["c"].to_numpy(dtype=np.int64))
     n = len(c)
     s = int(c.sum())
@@ -13148,7 +12795,6 @@ def source_length_ks(sf_dir: str):
     come back as per-batch partials (support-bounded driver state);
     every ECDF term is an exact int/int division, so D is
     bit-identical to the SQL window replay."""
-    from ..stages.groups import small_key_counts
 
     ds = _read(sf_dir, "documents", ["source", "n_chars"])
 
@@ -13157,8 +12803,8 @@ def source_length_ks(sf_dir: str):
                      value_set=pa.array(list(KS_SOURCES)))
         return t.filter(m)
 
-    c = small_key_counts(ds.map_batches(pick, batch_format="pyarrow"),
-                         ["source", "n_chars"], alias="k")
+    c = grouped_partials(ds, ["source", "n_chars"], count="k",
+                         prep=pick)
     wide = (c.pivot_table(index="n_chars", columns="source", values="k",
                           fill_value=0, aggfunc="sum")
             .reindex(columns=list(KS_SOURCES), fill_value=0)
@@ -13202,7 +12848,6 @@ def source_length_psi(sf_dir: str):
     skip, stated rather than epsilon-fudged). The (source, n_chars)
     counts come back as support-bounded per-batch partials; bin
     probabilities are exact int/int, only the final sum rounds."""
-    from ..stages.groups import small_key_counts
 
     ds = _read(sf_dir, "documents", ["source", "n_chars"])
 
@@ -13210,8 +12855,8 @@ def source_length_psi(sf_dir: str):
         m = pc.is_in(t["source"], value_set=pa.array(list(KS_SOURCES)))
         return t.filter(m)
 
-    c = small_key_counts(ds.map_batches(pick, batch_format="pyarrow"),
-                         ["source", "n_chars"], alias="k")
+    c = grouped_partials(ds, ["source", "n_chars"], count="k",
+                         prep=pick)
     a = (c[c["source"] == KS_SOURCES[0]]
          .sort_values("n_chars")[["n_chars", "k"]])
     b = (c[c["source"] == KS_SOURCES[1]]
@@ -13295,16 +12940,15 @@ def session_first_touch(sf_dir: str, gap_minutes: int = 30):
                 .agg(n_sessions=("conv", "size"),
                      n_converted=("conv", "sum"), pv=("pv", "sum")))
 
-    parts = (bucketed_group_apply(ds, "user_id", per_bucket,
-                                  num_buckets=16)
-             .to_pandas().groupby("first_touch", as_index=False).sum())
-    out = pd.DataFrame({
+    parts = grouped_partials(
+        bucketed_group_apply(ds, "user_id", per_bucket, num_buckets=16),
+        "first_touch", sums=["n_sessions", "n_converted", "pv"])
+    return pd.DataFrame({
         "first_touch": parts["first_touch"],
         "n_sessions": parts["n_sessions"].astype("int64"),
         "n_converted": parts["n_converted"].astype("int64"),
         "purchase_value": round2(parts["pv"].to_numpy()),
     })
-    return out.sort_values("first_touch").reset_index(drop=True)
 
 
 FIRST_TOUCH_SQL = """
@@ -13400,10 +13044,9 @@ def users_to_half_events(sf_dir: str):
     exact integer arithmetic on the count-sorted array, so the ≥½
     crossing is bit-deterministic (ties broken (count desc, user
     asc) identically to the window replay)."""
-    from ..stages.groups import small_key_counts
 
-    counts = small_key_counts(_read(sf_dir, "events", ["user_id"]),
-                              "user_id", alias="c")
+    counts = grouped_partials(_read(sf_dir, "events", ["user_id"]),
+                              "user_id", count="c")
     df = counts.sort_values(["c", "user_id"],
                             ascending=[False, True], kind="stable")
     c = df["c"].to_numpy(dtype=np.int64)
@@ -13515,9 +13158,8 @@ def label_centroid_drift(sf_dir: str):
                           pa.int64()),
         })
 
-    parts = (ds.map_batches(partial, batch_format="pyarrow")
-             .to_pandas()
-             .groupby(["key", "idx"], as_index=False)[["s", "n"]].sum())
+    parts = grouped_partials(ds, ["key", "idx"], sums=["s", "n"],
+                             prep=partial)
     parts["c"] = round6(parts["s"].to_numpy() / parts["n"].to_numpy())
     parts["label"] = parts["key"] // 2
     parts["half"] = parts["key"] % 2
@@ -14153,16 +13795,14 @@ def event_markov_stationary(sf_dir: str):
     Probabilities round at 6 dp only at the END, matching the unrolled
     pagerank-oracle precedent (cross-engine double drift through 20
     small dot products stays far below the hash's 9 dp)."""
-    from ..stages.groups import small_key_counts
 
     counts = event_transition_matrix(sf_dir)
     # the type universe must match the oracle's SELECT DISTINCT
     # event_type FROM events — a type with no transitions at all
     # (single-event-only) would otherwise shrink k and shift every
     # probability (code-review r19 finding)
-    types = sorted(small_key_counts(
-        _read(sf_dir, "events", ["event_type"]),
-        ["event_type"])["event_type"])
+    types = grouped_partials(_read(sf_dir, "events", ["event_type"]),
+                             "event_type", count="n")["event_type"].tolist()
     idx = {t: i for i, t in enumerate(types)}
     k = len(types)
     P = np.zeros((k, k), dtype=np.float64)
@@ -14338,12 +13978,10 @@ def source_overlap_matrix(sf_dir: str):
               .agg(n_common=("g16", "size")))
         return pd.concat([sz, pr], ignore_index=True)
 
-    p = (bucketed_group_apply(
-            ds.map_batches(partial, batch_format="pandas"),
-            "g16", bucket_fn, num_buckets=32)
-         .to_pandas()
-         .groupby(["source_a", "source_b"], as_index=False)
-         ["n_common"].sum())
+    p = grouped_partials(bucketed_group_apply(
+        ds.map_batches(partial, batch_format="pandas"),
+        "g16", bucket_fn, num_buckets=32), ["source_a", "source_b"],
+        sums=["n_common"])
     sizes = (p[p["source_b"] == ""]
              .set_index("source_a")["n_common"])
     pairs = p[p["source_b"] != ""].reset_index(drop=True)
@@ -14351,9 +13989,7 @@ def source_overlap_matrix(sf_dir: str):
     sb = sizes.reindex(pairs["source_b"]).to_numpy(np.float64)
     inter = pairs["n_common"].to_numpy(np.float64)
     pairs["jaccard"] = round6(inter / (sa + sb - inter))
-    pairs["n_common"] = pairs["n_common"].astype("int64")
-    return (pairs.sort_values(["source_a", "source_b"])
-            .reset_index(drop=True))
+    return pairs
 
 
 SOURCE_OVERLAP_SQL = """
@@ -14402,8 +14038,6 @@ def hll_estimate_users_per_type(sf_dir: str):
     is replayed identically; at sf0.001 (100 users) it takes the
     linear path, at sf0.01 (999) the raw path — both sides of the
     branch are driver-gated across scales."""
-    from ray.data.aggregate import Max
-
     from ..stages.md5np import md5_prefix64
 
     ds = _read(sf_dir, "events", ["event_type", "user_id"])
@@ -14416,18 +14050,14 @@ def hll_estimate_users_per_type(sf_dir: str):
         # is the exact bit length (floor(log2)+1, 0 for 0) the SQL twin
         # computes
         rho = 27 - np.frexp(sfx.astype(np.float64))[1].astype(np.int64)
-        r = pa.table({
+        return pa.table({
             "event_type": pc.cast(t["event_type"], pa.string()),
             "bucket": pa.array(h >> 26, pa.int64()),
             "rho": pa.array(rho, pa.int64()),
-        }).group_by(["event_type", "bucket"]).aggregate([("rho", "max")])
-        return pa.table({"event_type": r["event_type"],
-                         "bucket": r["bucket"], "rho": r["rho_max"]})
+        })
 
-    regs = (ds.map_batches(partial, batch_format="pyarrow")
-            .groupby(["event_type", "bucket"])
-            .aggregate(Max("rho", alias_name="rho"))
-            .to_pandas())
+    regs = grouped_partials(ds, ["event_type", "bucket"], maxes=["rho"],
+                            prep=partial)
     rows = []
     for et, g in regs.groupby("event_type", sort=True):
         m = np.zeros(HLL_M, dtype=np.int64)
@@ -14553,12 +14183,13 @@ def poisson_bootstrap_value_ci(sf_dir: str):
     ds = _read(sf_dir, "events", ["event_id", "value"])
     reps = pc.cast(pa.array(np.arange(BOOT_B)), pa.string())
 
-    def partials(df: pd.DataFrame) -> pd.DataFrame:
-        v = df["value"].to_numpy(np.float64)
+    def partials(t: pa.Table) -> pa.Table:
+        v = t["value"].to_numpy(zero_copy_only=False).astype(np.float64)
         keep = ~np.isnan(v)
         v = v[keep]
         n = len(v)
-        ids = pc.cast(pa.array(df["event_id"].to_numpy()[keep]), pa.string())
+        ids = pc.cast(pa.array(
+            t["event_id"].to_numpy(zero_copy_only=False)[keep]), pa.string())
         # the batch's whole (replicate, event) key grid in one kernel
         # call: B × ≤ _POIS_BATCH keys, whatever the block size
         grid = pc.binary_join_element_wise(
@@ -14570,20 +14201,19 @@ def poisson_bootstrap_value_ci(sf_dir: str):
         # another order and move the replicate means' last bits
         sv = np.array([float(w[b] @ v) for b in range(BOOT_B)], np.float64)
         sw = w.sum(axis=1).astype(np.int64)
-        return pd.DataFrame({"b": np.arange(BOOT_B, dtype=np.int64),
-                             "sv": sv, "sw": sw,
-                             "n": np.int64(n),
-                             "s": float(v.sum())})
+        # the batch's count and plain sum ride on replicate 0's row
+        first = np.arange(BOOT_B) == 0
+        return pa.table({"b": np.arange(BOOT_B, dtype=np.int64),
+                         "sv": sv, "sw": sw,
+                         "n": np.where(first, n, 0).astype(np.int64),
+                         "s": np.where(first, float(v.sum()), 0.0)})
 
-    p = (ds.map_batches(partials, batch_format="pandas",
-                        batch_size=_POIS_BATCH)
-         .to_pandas())                       # O(B · batches) rows only
-    b0 = p[p["b"] == 0]                      # one row per batch
-    n = int(b0["n"].sum())
-    total = float(b0["s"].sum())
-    g = p.groupby("b", sort=True).agg(sv=("sv", "sum"), sw=("sw", "sum"))
+    g = grouped_partials(ds, "b", sums=["sv", "sw", "n", "s"],
+                         prep=partials, batch_size=_POIS_BATCH)
+    n = int(g["n"].iloc[0])
+    total = float(g["s"].iloc[0])
     means = (g["sv"] / g["sw"]).to_numpy(np.float64)
-    order = np.lexsort((g.index.to_numpy(), means))
+    order = np.lexsort((g["b"].to_numpy(), means))
     lo = float(means[order[2]])      # 3rd smallest of 100 → 2.5th pct
     hi = float(means[order[97]])     # 98th smallest → 97.5th pct
     return pd.DataFrame({"n": pd.Series([n], dtype="int64"),
@@ -14733,10 +14363,9 @@ def source_mix_weights(sf_dir: str):
     any source dominate. boost = w_s / (n_s/N) is the per-source
     repetition factor an epoch planner applies. Counts come from
     vectorized per-batch partials (small key domain — no shuffle)."""
-    from pdf_to_text_ray.stages.groups import small_key_counts
 
     ds = _read(sf_dir, "documents", ["source"])
-    c = small_key_counts(ds, ["source"]).sort_values("source")
+    c = grouped_partials(ds, ["source"], count="n")
     n = c["n"].to_numpy(np.float64)
     pw = n ** MIX_ALPHA
     w = pw / pw.sum()
@@ -14979,19 +14608,16 @@ def value_benford_chisq(sf_dir: str):
 
     ds = _read(sf_dir, "events", ["value"])
 
-    def digit_counts(df: pd.DataFrame) -> pd.DataFrame:
-        v = df["value"].to_numpy(np.float64)
+    def digits(t: pa.Table) -> pa.Table:
+        v = t["value"].to_numpy(zero_copy_only=False).astype(np.float64)
         v = v[~np.isnan(v)]
         v = v[v != 0.0]
-        digits = np.array([int(f"{abs(x):.6e}"[0]) for x in v],
-                          np.int64)
-        c = np.bincount(digits, minlength=10)[1:10]
-        return pd.DataFrame({"digit": np.arange(1, 10, dtype=np.int64),
-                             "n": c.astype(np.int64)})
+        return pa.table({"digit": np.array(
+            [int(f"{abs(x):.6e}"[0]) for x in v], np.int64)})
 
-    p = ds.map_batches(digit_counts, batch_format="pandas").to_pandas()
-    g = p.groupby("digit", sort=True)["n"].sum()
-    total = float(g.sum())
+    p = grouped_partials(ds, "digit", count="n", prep=digits)
+    g = dict(zip(p["digit"], p["n"]))
+    total = float(sum(g.values()))
     rows = []
     for d in range(1, 10):
         nd = int(g.get(d, 0))
@@ -15102,23 +14728,17 @@ def events_selfjoin_size_f2(sf_dir: str):
     # the per-user table never lands on the driver: each block emits
     # one Σn² row + ≤64 per-bucket partial sums; the driver merges
     # O(65 · blocks) fixed-width rows
-    def moment_partials(df: pd.DataFrame) -> pd.DataFrame:
-        n = df["n"].to_numpy(np.int64)
-        h = md5_prefix64(pc.cast(pa.array(df["user_id"].to_numpy()),
-                                 pa.string()))
+    def moment_partials(t: pa.Table) -> pa.Table:
+        n = t["n"].to_numpy(zero_copy_only=False).astype(np.int64)
+        h = md5_prefix64(pc.cast(t["user_id"], pa.string()))
         b = ((h >> np.uint64(32)) % np.uint64(F2_BUCKETS)).astype(np.int64)
-        bs = pd.DataFrame({"bucket": b, "bn": n}) \
-            .groupby("bucket")["bn"].sum()
-        return pd.DataFrame({
-            "bucket": np.concatenate([[-1], bs.index.to_numpy()]),
-            "v": np.concatenate([[int(np.sum(n * n))],
-                                 bs.to_numpy()])}).astype("int64")
+        return pa.table({"bucket": np.concatenate([[-1], b]),
+                         "v": np.concatenate([[int(np.sum(n * n))], n])})
 
-    p = (per_user.map_batches(moment_partials, batch_format="pandas")
-         .to_pandas())
+    p = grouped_partials(per_user, "bucket", sums=["v"],
+                         prep=moment_partials)
     true_f2 = int(p.loc[p["bucket"] == -1, "v"].sum())
-    bsums = p[p["bucket"] >= 0].groupby("bucket")["v"].sum() \
-        .to_numpy(np.int64)
+    bsums = p.loc[p["bucket"] >= 0, "v"].to_numpy(np.int64)
     bucket_f2 = int(np.sum(bsums * bsums))
     return pd.DataFrame({
         "true_f2": pd.Series([true_f2], dtype="int64"),
@@ -15150,7 +14770,6 @@ def split_length_psi(sf_dir: str):
     profile. Composition of source_split_assign's md5(source) rule
     with source_length_psi's train-decile binning; per-batch
     (split, n_chars) partials, no shuffle."""
-    from ..stages.groups import small_key_counts
     from ..stages.quantiles import _rank_for
     from ..stages.sketches import md5_uniform
 
@@ -15163,8 +14782,8 @@ def split_length_psi(sf_dir: str):
         return pa.table({"split": pa.array(split.tolist(), pa.string()),
                          "n_chars": pc.cast(t["n_chars"], pa.int64())})
 
-    c = small_key_counts(ds.map_batches(tag, batch_format="pyarrow"),
-                         ["split", "n_chars"], alias="k")
+    c = grouped_partials(ds, ["split", "n_chars"], count="k",
+                         prep=tag)
     a = (c[c["split"] == "train"]
          .sort_values("n_chars")[["n_chars", "k"]])
     b = (c[c["split"] == "test"]
@@ -15250,8 +14869,9 @@ def event_type_lift(sf_dir: str):
                               "n": [ut["user_id"].nunique()]})
         return pd.concat([pairs, singles, users], ignore_index=True)
 
-    p = bucketed_group_apply(ds, "user_id", per_bucket).to_pandas()
-    p = p.groupby(["type_a", "type_b"], sort=True)["n"].sum()
+    p = grouped_partials(bucketed_group_apply(ds, "user_id", per_bucket),
+                         ["type_a", "type_b"], sums=["n"]) \
+        .set_index(["type_a", "type_b"])["n"]
     n_users = float(p.loc[("", "")])
     singles = {k[0]: float(v) for k, v in p.items()
                if k[1] == "" and k[0] != ""}
@@ -15314,15 +14934,15 @@ def price_selectivity_eval(sf_dir: str):
 
     xs = np.array(SEL_PREDICATES, np.float64)
 
-    def true_counts(df: pd.DataFrame) -> pd.DataFrame:
-        v = df["l_extendedprice"].to_numpy(np.float64)
-        return pd.DataFrame({
+    def true_counts(t: pa.Table) -> pa.Table:
+        v = t["l_extendedprice"].to_numpy(zero_copy_only=False)
+        return pa.table({
             "x": xs,
-            "c": [int((v <= x).sum()) for x in xs],
-            "n": np.int64(len(v))})
+            "c": np.array([(v <= x).sum() for x in xs], np.int64),
+            "n": np.full(len(xs), len(v), np.int64)})
 
-    p = (ds.map_batches(true_counts, batch_format="pandas")
-         .to_pandas().groupby("x", sort=True).sum())
+    p = grouped_partials(ds, "x", sums=["c", "n"],
+                         prep=true_counts).set_index("x")
     rows = []
     for x in xs:
         k = int(np.searchsorted(edges, x, side="right")) - 1
@@ -15390,9 +15010,10 @@ def source_quality_report(sf_dir: str):
     sent_re = _re.compile(r"[.!?]+")
     ds = _read(sf_dir, "documents", ["doc_id", "text", "source"])
 
-    def text_partials(df: pd.DataFrame) -> pd.DataFrame:
+    def text_partials(t: pa.Table) -> pa.Table:
         acc: dict[str, list] = {}
-        for src, text in zip(df["source"].tolist(), df["text"].tolist()):
+        for src, text in zip(t["source"].to_pylist(),
+                             t["text"].to_pylist()):
             text = text or ""
             a = acc.setdefault(src, [0, 0.0, 0, 0.0, 0])  # docs, Σf, nf, Σh, nh
             a[0] += 1
@@ -15412,16 +15033,16 @@ def source_quality_report(sf_dir: str):
                 a[3] += float(-np.sum(p * np.log2(p)))
                 a[4] += 1
         srcs = sorted(acc)
-        return pd.DataFrame({
-            "source": srcs,
-            "n_docs": pd.Series([acc[s][0] for s in srcs], dtype="int64"),
-            "sf": [acc[s][1] for s in srcs],
-            "nf": pd.Series([acc[s][2] for s in srcs], dtype="int64"),
-            "sh": [acc[s][3] for s in srcs],
-            "nh": pd.Series([acc[s][4] for s in srcs], dtype="int64")})
+        return pa.table(
+            [pa.array(srcs, pa.string())]
+            + [pa.array([acc[s][i] for s in srcs],
+                        pa.int64() if i % 2 == 0 else pa.float64())
+               for i in range(5)],
+            names=["source", "n_docs", "sf", "nf", "sh", "nh"])
 
-    tp = (ds.map_batches(text_partials, batch_format="pandas")
-          .to_pandas().groupby("source", sort=True).sum())
+    tp = grouped_partials(ds, "source",
+                          sums=["n_docs", "sf", "nf", "sh", "nh"],
+                          prep=text_partials).set_index("source")
 
     # per-(doc, tok) rows keep the true document-frequency grain
     def doc_tok_rows(df: pd.DataFrame) -> pa.Table:
@@ -15449,8 +15070,8 @@ def source_quality_report(sf_dir: str):
         return (df.groupby("source", sort=False)
                 .agg(n=("n", "sum"), oov=("oov", "sum")).reset_index())
 
-    ov = (bucketed_group_apply(rows, "tok", oov_per_bucket)
-          .to_pandas().groupby("source", sort=True).sum())
+    ov = grouped_partials(bucketed_group_apply(rows, "tok", oov_per_bucket),
+                          "source", sums=["n", "oov"]).set_index("source")
 
     j = tp.join(ov, how="inner", lsuffix="", rsuffix="_ov")
     j = j[(j["nf"] > 0) & (j["nh"] > 0)]
@@ -15599,11 +15220,10 @@ def dp_noisy_type_counts(sf_dir: str):
     noise, post-processing round) while staying value-checkable; swap
     the uniform source to os.urandom for a real deployment. Counts
     reduce via small-key partials; the noise touches |types| rows."""
-    from ..stages.groups import small_key_counts
     from ..stages.sketches import md5_uniform
 
     ds = _read(sf_dir, "events", ["event_type"])
-    c = small_key_counts(ds, ["event_type"]).sort_values("event_type")
+    c = grouped_partials(ds, ["event_type"], count="n")
     u = md5_uniform([f"dp:{t}" for t in c["event_type"]])
     # inverse Laplace CDF, scale b = 1/ε
     b = 1.0 / DP_EPSILON
@@ -15911,8 +15531,8 @@ def lang_token_fertility(sf_dir: str):
             "nc": pa.array([acc[g][1] for g in langs], pa.int64()),
             "nt": pa.array([acc[g][2] for g in langs], pa.int64())})
 
-    p = (ds.map_batches(partial, batch_format="pyarrow")
-         .to_pandas().groupby("lang", sort=True).sum())
+    p = grouped_partials(ds, "lang", sums=["n_docs", "nc", "nt"],
+                         prep=partial).set_index("lang")
     p = p[p["nt"] > 0]
     return pd.DataFrame({
         "lang": p.index.to_numpy(),
@@ -16272,15 +15892,8 @@ def source_dup_crosstab(sf_dir: str):
         return out[out["n_pairs"] > 0]
 
     hashes = ds.map_batches(to_hash, batch_format="pandas")
-    p = (bucketed_group_apply(hashes, "h", per_cluster)
-         .to_pandas())
-    if p.empty:
-        return pd.DataFrame({
-            "source_a": pd.Series([], dtype=object),
-            "source_b": pd.Series([], dtype=object),
-            "n_pairs": pd.Series([], dtype="int64")})
-    out = (p.groupby(["source_a", "source_b"], sort=True)["n_pairs"]
-           .sum().reset_index())
+    out = grouped_partials(bucketed_group_apply(hashes, "h", per_cluster),
+                           ["source_a", "source_b"], sums=["n_pairs"])
     out["n_pairs"] = out["n_pairs"].astype("int64")
     return out
 
@@ -16309,21 +15922,15 @@ def orders_seasonality_index(sf_dir: str):
     final round."""
     ds = _read(sf_dir, "orders", ["o_orderdate"])
 
-    def month_partial(t: pa.Table) -> pa.Table:
-        m = pc.month(t["o_orderdate"]).to_numpy(zero_copy_only=False)
-        mo, cnt = np.unique(m, return_counts=True)
-        return pa.table({"month": pa.array(mo.astype(np.int64)),
-                         "n": pa.array(cnt.astype(np.int64))})
-
-    p = (ds.map_batches(month_partial, batch_format="pyarrow")
-         .to_pandas().groupby("month", sort=True)["n"].sum())
-    total = float(p.sum())
-    months = p.index.to_numpy(np.int64)
-    n = p.to_numpy(np.float64)
+    p = grouped_partials(ds, "month", count="n", prep=lambda t: pa.table(
+        {"month": pc.cast(pc.month(t["o_orderdate"]), pa.int64())}))
+    months = p["month"].to_numpy(np.int64)
+    n = p["n"].to_numpy(np.float64)
+    total = float(n.sum())
     k = float(len(months))
     return pd.DataFrame({
         "month": months,
-        "n_orders": p.to_numpy(np.int64),
+        "n_orders": p["n"].to_numpy(np.int64),
         "seasonality_index": round6(n * k / total)})
 
 
@@ -16368,8 +15975,9 @@ def session_bounce_rate(sf_dir: str):
                                                          "sum")))
         return agg.reset_index()
 
-    p = (bucketed_group_apply(ds, "user_id", per_bucket)
-         .to_pandas().groupby("entry_type", sort=True).sum())
+    p = grouped_partials(bucketed_group_apply(ds, "user_id", per_bucket),
+                         "entry_type", sums=["n_sessions", "n_bounces"]) \
+        .set_index("entry_type")
     return pd.DataFrame({
         "entry_type": p.index.to_numpy(),
         "n_sessions": p["n_sessions"].astype("int64").to_numpy(),
@@ -16419,10 +16027,9 @@ def user_event_lorenz(sf_dir: str):
     from fractions import Fraction
     from math import ceil
 
-    from ..stages.groups import small_key_counts
 
-    counts = small_key_counts(_read(sf_dir, "events", ["user_id"]),
-                              "user_id", alias="c")
+    counts = grouped_partials(_read(sf_dir, "events", ["user_id"]),
+                              "user_id", count="c")
     counts = counts.sort_values(["c", "user_id"])
     c = counts["c"].to_numpy(np.int64)
     u = len(c)
@@ -16663,24 +16270,18 @@ def did_value_estimate(sf_dir: str):
 
     from ..stages.sketches import md5_uniform
 
-    def partials(df: pd.DataFrame) -> pd.DataFrame:
-        v = df["value"].to_numpy(np.float64)
+    def groups(t: pa.Table) -> pa.Table:
+        v = t["value"].to_numpy(zero_copy_only=False).astype(np.float64)
         keep = ~np.isnan(v)
-        v = v[keep]
-        t = df["ts"].to_numpy("datetime64[us]").astype("int64")[keep]
+        ts = t["ts"].cast(pa.timestamp("us"), safe=False).cast(
+            pa.int64()).to_numpy(zero_copy_only=False)[keep]
         u = md5_uniform([f"did:{x}" for x in
-                         df["user_id"].to_numpy()[keep]])
-        treat = u < 0.5
-        post = t > mid
-        rows = []
-        for g, p in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            m = (treat == bool(g)) & (post == bool(p))
-            rows.append({"g": g, "p": p, "s": float(v[m].sum()),
-                         "n": int(m.sum())})
-        return pd.DataFrame(rows)
+                         t["user_id"].to_numpy(zero_copy_only=False)[keep]])
+        return pa.table({"g": (u < 0.5).astype(np.int64),
+                         "p": (ts > mid).astype(np.int64), "s": v[keep]})
 
-    p = (ds.map_batches(partials, batch_format="pandas")
-         .to_pandas().groupby(["g", "p"]).sum())
+    p = grouped_partials(ds, ["g", "p"], sums=["s"], count="n",
+                         prep=groups).set_index(["g", "p"])
     mean = {k: p.loc[k, "s"] / p.loc[k, "n"] for k in p.index}
     did = (mean[(1, 1)] - mean[(1, 0)]) - (mean[(0, 1)] - mean[(0, 0)])
     return pd.DataFrame({
@@ -16798,10 +16399,9 @@ def source_hhi(sf_dir: str):
     (an HHI drifting toward 1 means the corpus is quietly becoming a
     single-origin dataset). Small-key count partials, no shuffle;
     shares are exact int/int before the squared sum."""
-    from ..stages.groups import small_key_counts
 
-    c = small_key_counts(_read(sf_dir, "documents", ["source"]),
-                         ["source"])
+    c = grouped_partials(_read(sf_dir, "documents", ["source"]),
+                         ["source"], count="n")
     n = c["n"].to_numpy(np.float64)
     share = n / n.sum()
     hhi = float(np.sum(share * share))

@@ -1,4 +1,15 @@
-"""Hash-bucketed grouped execution.
+"""Grouped execution: one rule per key domain.
+
+- **Small key domain** (bounded by the schema or a fixed binning:
+  event types, languages, sources, nations, flags, years, histogram
+  bins): ``grouped_partials``. Each batch reduces to at most |keys|
+  partial rows and the driver merges them, with no all-to-all
+  exchange. An exchange would shuffle every row only to land a handful
+  of groups, and when its output partitions outnumber its keys it
+  emits empty blocks. Driver volume is O(batches × keys) rows.
+- **Key domain that grows with the data** (users, documents, urls):
+  a Ray ``groupby(key).aggregate`` exchange for algebraic aggregates,
+  or ``bucketed_group_apply`` for whole-group work.
 
 ``groupby(key).map_groups`` invokes Python ONCE PER KEY — measured in
 this repo at a ~0.2 scaling efficiency floor on high-cardinality keys
@@ -73,27 +84,57 @@ def arrow_blocks(ds, *, batch_size: int = 32768):
                           batch_format="pyarrow", batch_size=batch_size)
 
 
-def small_key_counts(ds, keys, alias: str = "n") -> pd.DataFrame:
-    """Grouped row counts for a SMALL key domain, without an
-    all-to-all exchange: each batch emits vectorized count partials
-    (≤ |keys| rows), the driver merges them.
+def grouped_partials(ds, keys, *, sums=(), mins=(), maxes=(),
+                     count: str | None = None, prep=None,
+                     batch_size: int | None = None) -> pd.DataFrame:
+    """Grouped sums, mins, maxes and row count of ``ds`` by ``keys``
+    with no exchange: the one way to aggregate over a small key domain
+    (see the module docstring).
 
-    Use this instead of ``groupby(key).aggregate(Count())`` when the
-    distinct-key count is small (hosts, languages, event types): the
-    Aggregate exchange shuffles everything only to land a handful of
-    groups — and when output partitions outnumber keys it emits empty
-    schema-less pandas blocks that trip the executor's RefBundle
-    schema-consistency warning. Driver volume here is
-    O(batches × keys) partial rows — fine while keys ≲ 10⁴."""
+    Each batch runs ``prep(batch) -> pa.Table`` if given, then one
+    Arrow ``group_by(keys)`` taking the sum of each column in ``sums``,
+    the min of each in ``mins``, the max of each in ``maxes`` (distinct
+    columns: ``prep`` can copy one) and, when ``count`` names it, the
+    row count. The driver orders the partials
+    by content (keys, then value columns), so the result does not
+    depend on block cuts or task completion order, merges them in one
+    grouped sum/min/max and returns a pandas frame sorted by keys, each
+    value column under its input name. Integer sums stay int64. An
+    empty input returns the key and value columns with no rows."""
+    import ray
+
     key_list = [keys] if isinstance(keys, str) else list(keys)
+    specs = ([(c, "sum") for c in sums] + [(c, "min") for c in mins]
+             + [(c, "max") for c in maxes])
+    cols = [c for c, _ in specs] + ([count] if count else [])
 
     def part(t: pa.Table) -> pa.Table:
-        g = (t.select(key_list).to_pandas()
-             .groupby(key_list, sort=False).size().reset_index(name=alias))
-        return arrow_out(g)
+        if prep is not None:
+            t = prep(t)
+        g = t.group_by(key_list, use_threads=False).aggregate(
+            specs + ([([], "count_all")] if count else []))
+        return pa.table([g[k] for k in key_list]
+                        + [g[f"{c}_{f}"] for c, f in specs]
+                        + ([g["count_all"]] if count else []),
+                        names=key_list + cols)
 
-    parts = ds.map_batches(part, batch_format="pyarrow").to_pandas()
-    return parts.groupby(key_list, as_index=False)[alias].sum()
+    kw = {} if batch_size is None else {"batch_size": batch_size}
+    # zero-row blocks skip the UDF and keep the input's schema. Block refs
+    # straight from the bundles: to_arrow_refs() may run the plan again
+    # for a schema
+    out = ds.map_batches(part, batch_format="pyarrow", **kw)
+    parts = ray.get([ref for bundle in out.iter_internal_ref_bundles()
+                     for ref, meta in bundle.blocks if meta.num_rows != 0])
+    if not parts:
+        return pd.DataFrame(columns=key_list + cols)
+    t = pa.concat_tables(parts, promote_options="default").sort_by(
+        [(c, "ascending") for c in key_list + cols])
+    merge = specs + ([(count, "sum")] if count else [])
+    g = t.group_by(key_list, use_threads=False).aggregate(merge)
+    out = pa.table([g[k] for k in key_list]
+                   + [g[f"{c}_{f}"] for c, f in merge],
+                   names=key_list + cols)
+    return out.sort_by([(k, "ascending") for k in key_list]).to_pandas()
 
 
 def stable_bucket(values: pd.Series | np.ndarray, num_buckets: int) -> np.ndarray:

@@ -578,6 +578,10 @@ def decode_stream(d: dict, raw: bytes, doc: "PdfDocument | None" = None) -> byte
 # ── document / xref ───────────────────────────────────────────────────
 
 _OBJ_HEAD_RE = re.compile(rb"(\d+)[\x00\t\n\f\r ]+(\d+)[\x00\t\n\f\r ]+obj\b")
+# the trailer keys the salvage scan recovers
+_SALVAGE_KEYS = ("Root", "Encrypt", "ID")
+_SALVAGE_KEY_RE = re.compile(
+    rb"/(Root|Encrypt|ID)(?![^\x00\t\n\f\r ()<>\[\]{}/%])")
 _XREF_ENT_RE = re.compile(rb"(\d{10})[ ]?(\d{5})[ ]?([nf])")
 _STARTXREF_RE = re.compile(rb"startxref[\x00\t\n\f\r ]+(\d+)")
 
@@ -802,8 +806,9 @@ class PdfDocument:
         if not self.xref:
             raise PdfError("no objects found in salvage scan")
         # index object-stream members (a catalog may be compressed into an
-        # /ObjStm) and pick up /Root from any xref-stream dict found
-        root_from_xrefstm = None
+        # /ObjStm) and pick up /Root, /Encrypt and /ID from any xref-stream
+        # dict found
+        from_xrefstm: dict[str, Any] = {}
         for num in sorted(self.xref):
             try:
                 obj = self.get_object(num)
@@ -812,8 +817,9 @@ class PdfDocument:
             if not isinstance(obj, Stream):
                 continue
             typ = str(obj.dict.get("Type", ""))
-            if typ == "XRef" and "Root" in obj.dict:
-                root_from_xrefstm = obj.dict["Root"]
+            if typ == "XRef":
+                from_xrefstm.update((k, obj.dict[k]) for k in _SALVAGE_KEYS
+                                    if k in obj.dict)
             elif typ == "ObjStm":
                 try:
                     data = obj.data()
@@ -823,22 +829,20 @@ class PdfDocument:
                             self.xref[onum] = ("s", num, idx)
                 except PdfError:
                     continue
-        # find the catalog: intact trailer /Root, else xref-stream /Root,
-        # else scan every recovered object. Only a Ref counts as a /Root:
-        # one of another kind is what failed the normal load
-        root_ref = next((r for r in (self.trailer.get("Root"), root_from_xrefstm)
+        # the catalog: intact trailer /Root, else xref-stream /Root, else
+        # the last trailer's, else scan every recovered object. Only a Ref
+        # counts as a /Root: one of another kind is what failed the normal
+        # load. /Encrypt and /ID come from the same sources, so that a
+        # damaged encrypted document still gets its decryptor
+        tail = self._last_trailer()
+        root_ref = next((r for r in (self.trailer.get("Root"),
+                                     from_xrefstm.get("Root"),
+                                     tail.get("Root"))
                          if isinstance(r, Ref)), None)
-        if root_ref is None:
-            t = self.data.rfind(b"trailer")
-            if t != -1:
-                try:
-                    trailer = parse_object_at(self.data, t + 7)[0]
-                    if isinstance(trailer, dict) and isinstance(
-                            trailer.get("Root"), Ref):
-                        self.trailer.update(trailer)
-                        root_ref = trailer["Root"]
-                except PdfError:
-                    pass
+        for k in ("Encrypt", "ID"):
+            v = from_xrefstm.get(k, tail.get(k))
+            if v is not None:
+                self.trailer.setdefault(k, v)
         if root_ref is None:
             for num in sorted(self.xref):
                 try:
@@ -851,6 +855,27 @@ class PdfDocument:
         if root_ref is None:
             raise PdfError("catalog not found in salvage scan")
         self.trailer["Root"] = root_ref
+
+    def _last_trailer(self) -> dict[str, Any]:
+        """The last ``trailer`` dict, or, when it does not parse as one,
+        each of /Root, /Encrypt and /ID whose value still parses."""
+        t = self.data.rfind(b"trailer")
+        if t == -1:
+            return {}
+        try:
+            trailer = parse_object_at(self.data, t + 7)[0]
+            if isinstance(trailer, dict):
+                return trailer
+        except PdfError:
+            pass
+        found: dict[str, Any] = {}
+        for m in _SALVAGE_KEY_RE.finditer(self.data, t):
+            try:
+                found.setdefault(m.group(1).decode(),
+                                 parse_object_at(self.data, m.end())[0])
+            except PdfError:
+                continue
+        return found
 
     # -- object access -------------------------------------------------
     def resolve(self, v: Any, depth: int = 0) -> Any:

@@ -245,3 +245,69 @@ def test_no_pandas_map_feeds_an_exchange():
                             for k in up.keywords)):
                 bad.append(f"{path.name}:{n.lineno}")
     assert not bad, f"pandas-declared maps feeding an exchange: {bad}"
+
+
+def test_no_hand_rolled_partial_merges():
+    """Per-batch partials merged on the driver go through
+    ``groups.grouped_partials``, which orders them by content before
+    one grouped merge. Reject a ``map_batches(...).to_pandas()`` (or
+    ``bucketed_group_apply(...).to_pandas()``) frame that a query then
+    merges with a pandas ``groupby(...)`` sum, min, max or agg, inline
+    or through a name bound in the same function."""
+    import ast
+
+    import pdf_to_text_ray.pipelines.queries as Q
+
+    def call_to(n, attr):
+        return (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                and n.func.attr == attr)
+
+    def partials_frame(n):
+        if not call_to(n, "to_pandas"):
+            return False
+        src = n.func.value
+        return isinstance(src, ast.Call) and (
+            call_to(src, "map_batches")
+            or (isinstance(src.func, ast.Name)
+                and src.func.id == "bucketed_group_apply"))
+
+    def base(n):
+        # innermost receiver of an attribute/call/subscript chain
+        while isinstance(n, (ast.Call, ast.Attribute, ast.Subscript)):
+            if partials_frame(n):
+                return n
+            n = n.func if isinstance(n, ast.Call) else n.value
+        return n
+
+    def own_nodes(fn):
+        # the function's own statements, not those of nested defs
+        todo = [fn]
+        while todo:
+            n = todo.pop()
+            yield n
+            todo.extend(c for c in ast.iter_child_nodes(n)
+                        if not isinstance(c, (ast.FunctionDef, ast.Lambda)))
+
+    bad = []
+    for fn in ast.parse(open(Q.__file__).read()).body:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        nodes = list(own_nodes(fn))
+        frames = {t.id for n in nodes if isinstance(n, ast.Assign)
+                  and partials_frame(n.value)
+                  for t in n.targets if isinstance(t, ast.Name)}
+        for n in nodes:
+            if not (isinstance(n, ast.Call)
+                    and isinstance(n.func, ast.Attribute)
+                    and n.func.attr in ("sum", "min", "max", "agg")):
+                continue
+            g = n.func.value
+            while isinstance(g, ast.Subscript):
+                g = g.value
+            if not call_to(g, "groupby"):
+                continue
+            b = base(g.func.value)
+            if partials_frame(b) or (isinstance(b, ast.Name)
+                                     and b.id in frames):
+                bad.append(f"{fn.name}:{n.lineno}")
+    assert not bad, f"hand-rolled partial merges (use grouped_partials): {bad}"

@@ -309,6 +309,22 @@ def test_broken_xref_with_objstm_salvage():
     assert r.fallback and r.text == expected
 
 
+@pytest.mark.parametrize("mode", ["rc4-128", "aes-128"])
+@pytest.mark.parametrize("damage", [
+    (b"trailer\n<< /Size", b"trailer\n<< /Size ]"),   # parses, not a dict
+    (b" >>\nstartxref", b" >\nstartxref")])          # does not parse
+def test_salvage_keeps_encrypt_of_a_damaged_trailer(mode, damage):
+    """An encrypted document whose trailer dict no longer parses goes
+    through salvage, which must still recover /Encrypt and /ID, or
+    every stream reaches Flate undecrypted."""
+    rng = random.Random(1)
+    pdf, expected, _ = make_pdf(rng, n_pages=2, encrypt=mode)
+    bad = pdf.replace(*damage)
+    assert bad != pdf
+    r = extract_pdf_text(bad)
+    assert r.fallback and r.text == expected
+
+
 def test_encrypted_pdf_rejected_not_salvaged():
     rng = random.Random(950)
     pdf, _, _ = make_pdf(rng, n_pages=1)

@@ -70,7 +70,23 @@ def test_dedup_keeps_max_warc_ts(ray_session, corpus):
     )
 
 
-def test_wave_resume(ray_session, tmp_path, corpus):
+def _crash_at_manifest(monkeypatch, n_written: int):
+    """Make ``write_manifest`` raise on its (n_written+1)-th call: that
+    wave's output is written and renamed into place, but no manifest
+    marks it complete — a crash between the rename and the manifest."""
+    real = mstate.write_manifest
+    calls = []
+
+    def write(out_dir, wave_idx, payload):
+        if len(calls) == n_written:
+            raise RuntimeError(f"crash before the manifest of wave {wave_idx}")
+        calls.append(wave_idx)
+        return real(out_dir, wave_idx, payload)
+
+    monkeypatch.setattr(mstate, "write_manifest", write)
+
+
+def test_wave_resume(ray_session, tmp_path, corpus, monkeypatch):
     import pyarrow.parquet as pq
 
     pages, golden = corpus
@@ -83,10 +99,13 @@ def test_wave_resume(ray_session, tmp_path, corpus):
         pq.write_table(pages.slice(s * n // 4, (s + 1) * n // 4 - s * n // 4),
                        os.path.join(in_dir, f"part-{s}.parquet"))
 
-    # first run dies after 2 waves
-    with pytest.raises(RuntimeError, match="fault injection"):
-        run_extract(in_dir, out_dir, files_per_wave=1, fault_inject_after=2)
+    # the first run writes wave 2 but dies before its manifest
+    with monkeypatch.context() as m:
+        _crash_at_manifest(m, 2)
+        with pytest.raises(RuntimeError, match="crash before the manifest"):
+            run_extract(in_dir, out_dir, files_per_wave=1)
     assert set(mstate.load_manifests(out_dir)) == {0, 1}
+    assert _written(out_dir, 2)  # renamed into place, not complete
     before = {w: _written(out_dir, w) for w in (0, 1)}
     assert all(before.values())
 
@@ -326,7 +345,8 @@ def test_cross_wave_dedup(ray_session, tmp_path):
     assert (again.st_ino, again.st_mtime_ns) == (st.st_ino, st.st_mtime_ns)
 
 
-def test_midwave_crash_no_duplicate_rows(ray_session, tmp_path, corpus):
+def test_midwave_crash_no_duplicate_rows(ray_session, tmp_path, corpus,
+                                         monkeypatch):
     """A crash DURING a wave's write leaves partial parquet in the wave
     dir with no manifest; the restart must not merge its own rows with
     the stale partial output (Ray parquet file names are unique per
@@ -345,8 +365,10 @@ def test_midwave_crash_no_duplicate_rows(ray_session, tmp_path, corpus):
         pq.write_table(pages.slice(s * n // 2, (s + 1) * n // 2 - s * n // 2),
                        os.path.join(in_dir, f"part-{s}.parquet"))
 
-    with pytest.raises(RuntimeError, match="fault injection"):
-        run_extract(in_dir, out_dir, files_per_wave=1, fault_inject_after=1)
+    with monkeypatch.context() as m:
+        _crash_at_manifest(m, 1)
+        with pytest.raises(RuntimeError, match="crash before the manifest"):
+            run_extract(in_dir, out_dir, files_per_wave=1)
 
     # simulate a crash mid-write of wave 1: partial parquet, no manifest
     w0 = mstate.wave_dir(out_dir, 0)
