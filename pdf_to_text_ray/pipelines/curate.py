@@ -65,6 +65,7 @@ def _neardup_filter(ds, *, threshold: float):
     import ray
 
     from ..stages.dedup import minhash_neardup_pairs, minlabel_components
+    from ..stages.joins import probe_sorted
 
     pairs = minhash_neardup_pairs(ds, threshold=threshold,
                                   output="dataset")
@@ -77,11 +78,8 @@ def _neardup_filter(ds, *, threshold: float):
     def keep(t: pa.Table) -> pa.Table:
         ns, rs = ray.get(ref)
         ids = t["doc_id"].to_numpy(zero_copy_only=False)
-        if len(ns) == 0:
-            return t
-        idx = np.minimum(np.searchsorted(ns, ids), len(ns) - 1)
-        hit = ns[idx] == ids
-        drop = hit & (rs[idx] != ids)
+        drop, idx = probe_sorted(ns, ids)
+        drop[drop] = rs[idx[drop]] != ids[drop]  # not its group's root
         return t.filter(pa.array(~drop))
 
     return ds.map_batches(keep, batch_format="pyarrow")

@@ -45,6 +45,7 @@ import pyarrow.compute as pc
 from ..schemas import DOC_TYPE_HTML, DOC_TYPE_PDF, DOC_TYPE_TEXT
 from ..stages.charset import decode_payload as decode_html_payload
 from ..stages.html_extract import extract_html_text
+from ..stages.joins import probe_sorted
 from ..stages.pdf_extract import extract_pdf_text
 from ..stages.sniff import sniff_batch, unwrap_payload
 from ..state import manifest as mstate
@@ -212,7 +213,7 @@ def compute_latest_winners(pages_paths):
 
     Per-batch partial max (vectorized pandas groupby) → tiny partials →
     final merge. Returned as two parallel numpy arrays SORTED BY URL so
-    the semi-join probe is one ``np.searchsorted`` per batch (no Python
+    the semi-join probe is one ``probe_sorted`` per batch (no Python
     dict, no per-row probing). The winner set materializes on the
     driver and is broadcast once; ``filter_latest`` deserializes it
     once per worker process."""
@@ -273,20 +274,14 @@ def _keys(t) -> tuple:
             .astype("datetime64[us]").view("int64"))
 
 
-def _probe(urls, ts, burls, bts):
-    """Mask of the (burls, bts) rows found in url-sorted winner arrays."""
-    import numpy as np
-
-    if not len(urls):
-        return np.zeros(len(burls), dtype=bool)
-    idx = np.minimum(np.searchsorted(urls, burls), len(urls) - 1)
-    return (urls[idx] == burls) & (ts[idx] == bts)
-
-
 def _winner_mask(b: pa.Table, urls: "Any", ts: "Any") -> pa.Array:
-    """Arrow mask of ``b``'s winner rows; perfbench's single-process
-    replay filters with it too."""
-    return pa.array(_probe(urls, ts, *_keys(b)))
+    """Arrow mask of ``b``'s winner rows (its (url, warc_ts) found in
+    the url-sorted winner arrays); perfbench's single-process replay
+    filters with it too."""
+    burls, bts = _keys(b)
+    hit, idx = probe_sorted(urls, burls)
+    hit[hit] = ts[idx[hit]] == bts[hit]
+    return pa.array(hit)
 
 
 def filter_latest(ds, winners_ref):

@@ -25,6 +25,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from pdf_to_text_ray.stages.groups import arrow_out, grouped_partials
+from pdf_to_text_ray.stages.joins import probe_sorted
 
 
 # A Ray Data map task costs 10-15 ms of CPU across the process tree
@@ -1348,11 +1349,8 @@ def orders_with_discounted_items(sf_dir: str):
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderpriority"])
 
     def semi(t: pa.Table) -> pa.Table:
-        ks = ray.get(ref)
         ids = t["o_orderkey"].to_numpy(zero_copy_only=False)
-        idx = np.minimum(np.searchsorted(ks, ids), max(len(ks) - 1, 0))
-        hit = (ks[idx] == ids) if len(ks) else np.zeros(len(ids), bool)
-        return t.filter(pa.array(hit))
+        return t.filter(pa.array(probe_sorted(ray.get(ref), ids)[0]))
 
     return grouped_partials(orders, "o_orderpriority", count="n_orders",
                             prep=semi)
@@ -3335,20 +3333,15 @@ ORDER BY p_partkey
 
 
 def orders_rollup_volume(sf_dir: str):
-    """GROUP BY ROLLUP(status, priority): one distributed aggregate at
-    the finest grain, super-aggregate levels derived from the tiny
-    grouped result (counts re-sum exactly; price sums round2'd)."""
-    from ray.data.aggregate import Count, Sum
-
+    """GROUP BY ROLLUP(status, priority): per-batch partials at the
+    finest grain (a schema-bounded key), super-aggregate levels derived
+    from the tiny grouped result (counts re-sum exactly; price sums
+    round2'd)."""
     ds = _read(sf_dir, "orders",
                ["o_orderstatus", "o_orderpriority", "o_totalprice"])
-    fine = (
-        ds.groupby(["o_orderstatus", "o_orderpriority"])
-        .aggregate(Count(alias_name="n"),
-                   Sum("o_totalprice", alias_name="total"))
-        .to_pandas()
-    )
-    fine = fine.sort_values(["o_orderstatus", "o_orderpriority"])
+    fine = grouped_partials(
+        ds, ["o_orderstatus", "o_orderpriority"], sums=["o_totalprice"],
+        count="n").rename(columns={"o_totalprice": "total"})
     mid = (fine.groupby("o_orderstatus", as_index=False)
            .agg(n=("n", "sum"), total=("total", "sum")))
     mid["o_orderpriority"] = None
@@ -3424,9 +3417,9 @@ def q5_local_supplier_volume(sf_dir: str):
     def revenue_partial(t: pa.Table):
         b = t.to_pandas()
         sk, sn, names = ray.get(supp_ref)
-        idx = np.searchsorted(sk, b["l_suppkey"].to_numpy())
-        idx = np.clip(idx, 0, len(sk) - 1)
-        s_nat = np.where(sk[idx] == b["l_suppkey"].to_numpy(), sn[idx], -1)
+        hit, idx = probe_sorted(sk, b["l_suppkey"].to_numpy())
+        s_nat = np.full(len(b), -1, sn.dtype)
+        s_nat[hit] = sn[idx[hit]]
         keep = (s_nat == b["c_nationkey"].to_numpy()) & \
             np.isin(s_nat, list(names.keys()))
         b = b[keep]
@@ -3710,8 +3703,8 @@ def q14_promo_revenue(sf_dir: str):
             pc.less(t["l_shipdate"], pa.scalar(hi))))
         keys, promo = ray.get(part_ref)
         pk = t["l_partkey"].to_numpy(zero_copy_only=False)
-        idx = np.clip(np.searchsorted(keys, pk), 0, len(keys) - 1)
-        is_promo = (keys[idx] == pk) & promo[idx]
+        is_promo, idx = probe_sorted(keys, pk)
+        is_promo[is_promo] = promo[idx[is_promo]]
         rev = (t["l_extendedprice"].to_numpy(zero_copy_only=False)
                * (1.0 - t["l_discount"].to_numpy(zero_copy_only=False)))
         return pa.table({
@@ -4206,10 +4199,7 @@ def curation_pipeline(sf_dir: str):
     ref = ray.put(np.sort(winners["keep_id"].to_numpy()))
 
     def curate(df: pd.DataFrame) -> pd.DataFrame:
-        ids = ray.get(ref)
-        pos = np.searchsorted(ids, df["doc_id"].to_numpy())
-        pos = np.clip(pos, 0, len(ids) - 1)
-        df = df[ids[pos] == df["doc_id"].to_numpy()]
+        df = df[probe_sorted(ray.get(ref), df["doc_id"].to_numpy())[0]]
         s = token_stats_batch(df)
         keep = ((s["n_tokens"] >= 10) & (s["punct_ratio"] <= 0.2)
                 & (s["avg_token_len"] >= 2.0))
@@ -4338,17 +4328,16 @@ def q19_disjunctive_revenue(sf_dir: str):
 
     def partial(t: pa.Table) -> pa.Table:
         keys, code, size = ray.get(part_ref)
-        pk = t["l_partkey"].to_numpy(zero_copy_only=False)
-        idx = np.clip(np.searchsorted(keys, pk), 0, len(keys) - 1)
-        hit = keys[idx] == pk
-        c, s = code[idx], size[idx]
-        qty = t["l_quantity"].to_numpy(zero_copy_only=False)
-        mask = np.zeros(len(pk), bool)
+        hit, idx = probe_sorted(
+            keys, t["l_partkey"].to_numpy(zero_copy_only=False))
+        c, s = code[idx[hit]], size[idx[hit]]
+        qty = t["l_quantity"].to_numpy(zero_copy_only=False)[hit]
+        mask = np.zeros(len(c), bool)
         for bc, smax, qlo, qhi in bands:
-            mask |= (hit & (c == bc) & (s >= 1) & (s <= smax)
+            mask |= ((c == bc) & (s >= 1) & (s <= smax)
                      & (qty >= qlo) & (qty <= qhi))
         rev = (t["l_extendedprice"].to_numpy(zero_copy_only=False)
-               * (1.0 - t["l_discount"].to_numpy(zero_copy_only=False)))
+               * (1.0 - t["l_discount"].to_numpy(zero_copy_only=False)))[hit]
         return pa.table({"rev": pa.array([float(rev[mask].sum())],
                                          pa.float64())})
 
@@ -4581,10 +4570,8 @@ def q17_small_quantity_revenue(sf_dir: str):
     pk_ref = ray.put(pkeys)
 
     def qty_partial(t: pa.Table) -> pa.Table:
-        keys = ray.get(pk_ref)
         lp = t["l_partkey"].to_numpy(zero_copy_only=False)
-        idx = np.clip(np.searchsorted(keys, lp), 0, max(len(keys) - 1, 0))
-        hit = (keys[idx] == lp) if len(keys) else np.zeros(len(lp), bool)
+        hit, _ = probe_sorted(ray.get(pk_ref), lp)
         qty = t["l_quantity"].to_numpy(zero_copy_only=False)[hit]
         part = pd.DataFrame({"p_partkey": lp[hit], "s": qty,
                              "n": np.ones(hit.sum(), np.int64)})
@@ -4606,11 +4593,10 @@ def q17_small_quantity_revenue(sf_dir: str):
 
     def rev_partial(t: pa.Table) -> pa.Table:
         keys, vals = ray.get(t_ref)
-        lp = t["l_partkey"].to_numpy(zero_copy_only=False)
-        idx = np.clip(np.searchsorted(keys, lp), 0, max(len(keys) - 1, 0))
-        hit = (keys[idx] == lp) if len(keys) else np.zeros(len(lp), bool)
+        keep, idx = probe_sorted(
+            keys, t["l_partkey"].to_numpy(zero_copy_only=False))
         qty = t["l_quantity"].to_numpy(zero_copy_only=False)
-        keep = hit & (qty < vals[idx])
+        keep[keep] = qty[keep] < vals[idx[keep]]
         s = float(t["l_extendedprice"].to_numpy(
             zero_copy_only=False)[keep].sum())
         return pa.table({"s": pa.array([s], pa.float64())})
@@ -4658,10 +4644,8 @@ def q22_idle_customers(sf_dir: str):
     active_ref = ray.put(np.sort(active["o_custkey"].to_numpy()))
 
     def idle(t: pa.Table) -> pa.Table:
-        keys = ray.get(active_ref)
         ck = t["c_custkey"].to_numpy(zero_copy_only=False)
-        idx = np.clip(np.searchsorted(keys, ck), 0, max(len(keys) - 1, 0))
-        has = (keys[idx] == ck) if len(keys) else np.zeros(len(ck), bool)
+        has, _ = probe_sorted(ray.get(active_ref), ck)
         bal = t["c_acctbal"].to_numpy(zero_copy_only=False)
         keep = (~has) & (bal > avg_bal)
         return pa.table({"seg": ck[keep] % 10, "totacctbal": bal[keep]})
@@ -4735,9 +4719,9 @@ def q7_nation_volume(sf_dir: str):
     def volume_partial(t: pa.Table) -> pa.Table:
         b = t.to_pandas()
         sk, sn = ray.get(supp_ref)
-        lsk = b["l_suppkey"].to_numpy()
-        idx = np.clip(np.searchsorted(sk, lsk), 0, len(sk) - 1)
-        s_nat = np.where(sk[idx] == lsk, sn[idx], -1)
+        hit, idx = probe_sorted(sk, b["l_suppkey"].to_numpy())
+        s_nat = np.full(len(b), -1, sn.dtype)
+        s_nat[hit] = sn[idx[hit]]
         c_nat = b["c_nationkey"].to_numpy()
         keep = (((s_nat == 1) & (c_nat == 2))
                 | ((s_nat == 2) & (c_nat == 1)))
@@ -4793,11 +4777,9 @@ def viewers_without_purchase(sf_dir: str):
                          if len(buyers) else np.array([], dtype=np.int64))
 
     def probe(t: pa.Table) -> pa.Table:
-        keys = ray.get(buyers_ref)
         t = t.filter(pc.equal(t["event_type"], pa.scalar("view")))
         u = t["user_id"].to_numpy(zero_copy_only=False)
-        idx = np.clip(np.searchsorted(keys, u), 0, max(len(keys) - 1, 0))
-        isb = (keys[idx] == u) if len(keys) else np.zeros(len(u), bool)
+        isb, _ = probe_sorted(ray.get(buyers_ref), u)
         return pa.table({"user_id": pa.array(u[~isb])})
 
     out = (ev.map_batches(probe, batch_format="pyarrow")
@@ -5599,17 +5581,14 @@ def q8_market_share(sf_dir: str):
     def share_partial(t: pa.Table) -> pa.Table:
         keys, sk, sn = ray.get(bref)
         b = t.to_pandas()
-        lp = b["l_partkey"].to_numpy()
-        idx = np.clip(np.searchsorted(keys, lp), 0, max(len(keys) - 1, 0))
-        inpart = (keys[idx] == lp) if len(keys) else np.zeros(len(lp), bool)
-        b = b[inpart]
+        b = b[probe_sorted(keys, b["l_partkey"].to_numpy())[0]]
         if not len(b):
             return pa.table({"o_year": pa.array([], pa.int64()),
                              "nation_rev": pa.array([], pa.float64()),
                              "total_rev": pa.array([], pa.float64())})
-        ls = b["l_suppkey"].to_numpy()
-        sidx = np.clip(np.searchsorted(sk, ls), 0, len(sk) - 1)
-        s_nat = np.where(sk[sidx] == ls, sn[sidx], -1)
+        hit, idx = probe_sorted(sk, b["l_suppkey"].to_numpy())
+        s_nat = np.full(len(b), -1, sn.dtype)
+        s_nat[hit] = sn[idx[hit]]
         rev = (b["l_extendedprice"] * (1 - b["l_discount"])).to_numpy()
         return pa.table({"o_year": b["o_year"].to_numpy().astype(np.int64),
                          "nation_rev": np.where(s_nat == 3, rev, 0.0),
@@ -7502,11 +7481,8 @@ def q9_profit_by_nation_year(sf_dir: str):
                         supp["s_nationkey"].to_numpy()))
 
     def pre(t: pa.Table) -> pa.Table:
-        pk, _ = ray.get(part_ref)
         lp = t["l_partkey"].to_numpy(zero_copy_only=False)
-        idx = np.clip(np.searchsorted(pk, lp), 0, max(len(pk) - 1, 0))
-        hit = (pk[idx] == lp) if len(pk) else np.zeros(len(lp), bool)
-        t = t.filter(pa.array(hit))
+        t = t.filter(pa.array(probe_sorted(ray.get(part_ref)[0], lp)[0]))
         return t.rename_columns(["o_orderkey", "l_partkey", "l_suppkey",
                                  "l_quantity", "l_extendedprice",
                                  "l_discount"])
@@ -7588,10 +7564,8 @@ def q11_important_parts(sf_dir: str):
         supp.loc[supp["s_nationkey"].isin(afr), "s_suppkey"].to_numpy()))
 
     def value_partial(t: pa.Table) -> pa.Table:
-        keys = ray.get(scope_ref)
         ls = t["l_suppkey"].to_numpy(zero_copy_only=False)
-        idx = np.clip(np.searchsorted(keys, ls), 0, max(len(keys) - 1, 0))
-        hit = (keys[idx] == ls) if len(keys) else np.zeros(len(ls), bool)
+        hit, _ = probe_sorted(ray.get(scope_ref), ls)
         part = pd.DataFrame({
             "p_partkey": t["l_partkey"].to_numpy(zero_copy_only=False)[hit],
             "value": t["l_extendedprice"].to_numpy(
@@ -7675,12 +7649,10 @@ GROUP BY l_returnflag ORDER BY l_returnflag
 def q16_supplier_cnt(sf_dir: str):
     """TPC-H Q16 shape — distinct-supplier counts per part attribute
     with a NOT-IN supplier exclusion: part attributes and the excluded
-    supplier set broadcast (catalog-bounded); the distinct reduce and
-    the count are two payload-free shuffles over (brand, size, supp)
-    triples."""
+    supplier set broadcast (catalog-bounded); the distinct reduce is a
+    payload-free shuffle over (brand, size, supp) triples, and the
+    count per (brand, size) merges per-batch partials."""
     import ray
-
-    from ray.data.aggregate import Count
 
     part = _read(sf_dir, "part",
                  ["p_partkey", "p_brand", "p_type", "p_size"]).to_pandas()
@@ -7697,27 +7669,22 @@ def q16_supplier_cnt(sf_dir: str):
 
     def triples(t: pa.Table) -> pa.Table:
         pk, brand, size, excl = ray.get(ref)
-        lp = t["l_partkey"].to_numpy(zero_copy_only=False)
-        idx = np.clip(np.searchsorted(pk, lp), 0, max(len(pk) - 1, 0))
-        hit = (pk[idx] == lp) if len(pk) else np.zeros(len(lp), bool)
+        hit, idx = probe_sorted(
+            pk, t["l_partkey"].to_numpy(zero_copy_only=False))
         ls = t["l_suppkey"].to_numpy(zero_copy_only=False)
-        if len(excl):
-            eidx = np.clip(np.searchsorted(excl, ls), 0, len(excl) - 1)
-            hit &= excl[eidx] != ls
-        part = pd.DataFrame({"p_brand": brand[idx][hit],
-                             "p_size": size[idx][hit],
+        hit &= ~probe_sorted(excl, ls)[0]
+        part = pd.DataFrame({"p_brand": brand[idx[hit]],
+                             "p_size": size[idx[hit]],
                              "l_suppkey": ls[hit]}).drop_duplicates()
         return arrow_out(part)
 
-    out = (_lineitem(sf_dir, ["l_partkey", "l_suppkey"])
-           .map_batches(triples, batch_format="pyarrow")
-           .groupby(["p_brand", "p_size", "l_suppkey"]).count()
-           .map_batches(lambda t: t.select(["p_brand", "p_size",
-                                            "l_suppkey"]),
-                        batch_format="pyarrow")
-           .groupby(["p_brand", "p_size"])
-           .aggregate(Count(alias_name="supplier_cnt"))
-           .to_pandas())
+    # distinct (brand, size, supplier) grows with the suppliers: an
+    # exchange; its count per (brand, size) is a small key domain
+    distinct = (_lineitem(sf_dir, ["l_partkey", "l_suppkey"])
+                .map_batches(triples, batch_format="pyarrow")
+                .groupby(["p_brand", "p_size", "l_suppkey"]).count())
+    out = grouped_partials(distinct, ["p_brand", "p_size"],
+                           count="supplier_cnt")
     if out.empty:
         return pd.DataFrame({"p_brand": pd.Series([], dtype=object),
                              "p_size": pd.Series([], dtype="int64"),
@@ -8773,10 +8740,7 @@ def bloom_prune_orders(sf_dir: str):
         maybe = bloom_contains(w, _splitmix64(ck), m_bits=M_BITS, k=K)
         t = t.filter(pa.array(maybe))
         ck = t["o_custkey"].to_numpy(zero_copy_only=False)
-        pos = np.searchsorted(ks, ck)
-        pos = np.minimum(pos, len(ks) - 1)
-        exact = ks[pos] == ck if len(ks) else np.zeros(len(ck), bool)
-        t = t.filter(pa.array(exact))
+        t = t.filter(pa.array(probe_sorted(ks, ck)[0]))
         return pa.table({
             "o_orderkey": t["o_orderkey"],
             "o_custkey": t["o_custkey"],
@@ -10889,9 +10853,8 @@ def part_copurchase_bfs(sf_dir: str, max_hops: int = 4):
         f_ref = ray.put(np.sort(frontier))
 
         def step(t: pa.Table, f_ref=f_ref) -> pa.Table:
-            f = ray.get(f_ref)
             s = t["src"].to_numpy(zero_copy_only=False)
-            hit = f[np.searchsorted(f, s, side="left").clip(0, len(f) - 1)] == s
+            hit, _ = probe_sorted(ray.get(f_ref), s)
             return pa.table({"dst": pa.array(
                 np.unique(t["dst"].to_numpy(zero_copy_only=False)[hit]),
                 pa.int64())})
@@ -11643,9 +11606,7 @@ def part_copurchase_sssp(sf_dir: str, max_rounds: int = 6):
 
         def relax(t: pa.Table, ref=ref) -> pa.Table:
             k, v = ray.get(ref)
-            s = t["src"].to_numpy(zero_copy_only=False)
-            idx = np.searchsorted(k, s).clip(0, len(k) - 1)
-            hit = k[idx] == s
+            hit, idx = probe_sorted(k, t["src"].to_numpy(zero_copy_only=False))
             dst = t["dst"].to_numpy(zero_copy_only=False)[hit]
             d = v[idx[hit]] + t["w"].to_numpy(zero_copy_only=False)[hit]
             if len(dst) == 0:
@@ -12394,8 +12355,7 @@ def part_adamic_adar(sf_dir: str):
 
     def seed_rows(t: pa.Table) -> pa.Table:
         src = t["src"].to_numpy(zero_copy_only=False)
-        idx = np.searchsorted(seeds, src).clip(0, len(seeds) - 1)
-        return t.filter(pa.array(seeds[idx] == src))
+        return t.filter(pa.array(probe_sorted(seeds, src)[0]))
 
     seed_adj = (adj.map_batches(seed_rows, batch_format="pyarrow")
                 .to_pandas())
@@ -12420,9 +12380,7 @@ def part_adamic_adar(sf_dir: str):
                    + seed_adj["dst"].to_numpy(dtype=np.int64))
     code = (sc["u"].to_numpy(dtype=np.int64) * big
             + sc["v"].to_numpy(dtype=np.int64))
-    if len(excl):
-        idx = np.searchsorted(excl, code).clip(0, len(excl) - 1)
-        sc = sc[excl[idx] != code]
+    sc = sc[~probe_sorted(excl, code)[0]]
     sc = sc.assign(aa_score=round2(sc["aa"].to_numpy() / 1e12))
     out = (sc.sort_values(["aa_score", "u", "v"],
                           ascending=[False, True, True])
@@ -12475,8 +12433,7 @@ def part_clustering_coeff(sf_dir: str):
 
     def seed_rows(t: pa.Table) -> pa.Table:
         src = t["src"].to_numpy(zero_copy_only=False)
-        idx = np.searchsorted(seeds, src).clip(0, len(seeds) - 1)
-        return t.filter(pa.array(seeds[idx] == src))
+        return t.filter(pa.array(probe_sorted(seeds, src)[0]))
 
     sa = adj.map_batches(seed_rows, batch_format="pyarrow").to_pandas()
     nbrs = {int(u): np.sort(g["dst"].to_numpy(dtype=np.int64))
@@ -12491,11 +12448,8 @@ def part_clustering_coeff(sf_dir: str):
         out_n: list[int] = []
         out_c: list[int] = []
         for u, nb in sl:
-            if len(nb) == 0:
-                continue
-            ix = np.searchsorted(nb, x).clip(0, len(nb) - 1)
-            iy = np.searchsorted(nb, y).clip(0, len(nb) - 1)
-            c = int(np.count_nonzero((nb[ix] == x) & (nb[iy] == y)))
+            c = int(np.count_nonzero(probe_sorted(nb, x)[0]
+                                     & probe_sorted(nb, y)[0]))
             if c:
                 out_n.append(u)
                 out_c.append(c)
@@ -12697,9 +12651,7 @@ def bm25_ndcg_eval(sf_dir: str):
         rv = np.asarray(rels, np.int64)
         keep = np.zeros(len(ri), dtype=bool)
         keep[np.lexsort((ri, -rv))[:10]] = True
-        if len(rs):
-            ix = np.searchsorted(rs, ri).clip(0, len(rs) - 1)
-            keep |= rs[ix] == ri
+        keep |= probe_sorted(rs, ri)[0]
         return pa.table({"doc_id": pa.array(ri[keep]),
                          "rel": pa.array(rv[keep])})
 

@@ -380,11 +380,13 @@ def flag_contaminated(ds, eval_texts: list[str], *, n: int = 13,
                       key_col: str = "doc_id", text_col: str = "text"):
     """Flag corpus docs sharing ANY word n-gram with the eval set
     (training-set decontamination): the eval hash set broadcasts once
-    (ray.put), each batch probes it via searchsorted — no shuffle.
-    Returns (key, contaminated, n_hits)."""
+    (ray.put), each batch probes it with ``probe_sorted`` — no
+    shuffle. Returns (key, contaminated, n_hits)."""
     import ray
 
     import pyarrow as pa
+
+    from .joins import probe_sorted
 
     ref = ray.put(eval_ngram_set(eval_texts, n))
 
@@ -393,12 +395,7 @@ def flag_contaminated(ds, eval_texts: list[str], *, n: int = 13,
         flags, hits = [], []
         for text in t[text_col].to_pylist():
             hs = _gram_hashes((text or "").lower().split(), n)
-            if len(hs) == 0 or len(ev) == 0:
-                flags.append(False)
-                hits.append(0)
-                continue
-            idx = np.minimum(np.searchsorted(ev, hs), len(ev) - 1)
-            cnt = int((ev[idx] == hs).sum())
+            cnt = int(probe_sorted(ev, hs)[0].sum())
             flags.append(cnt > 0)
             hits.append(cnt)
         return pd.DataFrame({

@@ -11,7 +11,7 @@ rows:
   foreign_key         : the referenced key set is scanned pruned,
                         broadcast sorted (``ray.put`` once at cluster
                         scale), and each batch counts misses with one
-                        ``searchsorted`` probe — a semi-anti-join
+                        ``probe_sorted`` call — a semi-anti-join
                         without a shuffle, valid while the referenced
                         keys fit a worker (the bloom-pruned variant in
                         stages/joins.py is the path past that).
@@ -27,6 +27,7 @@ import pandas as pd
 import pyarrow as pa
 
 from .groups import arrow_out
+from .joins import probe_sorted
 
 
 def _count_pass(ds, fn) -> tuple[int, int]:
@@ -75,7 +76,7 @@ def audit_foreign_key(ds, col: str, ref_ds, ref_col: str) -> tuple[int, int]:
 
     SQL-`NOT IN`-parity on nulls: a NULL probe value compares UNKNOWN
     in SQL and is never counted, so nulls are dropped before the
-    searchsorted probe (and never counted as violations).  Null keys
+    sorted-key probe (and never counted as violations).  Null keys
     on the referenced side are likewise dropped from the key set.
     """
     import ray
@@ -90,16 +91,8 @@ def audit_foreign_key(ds, col: str, ref_ds, ref_col: str) -> tuple[int, int]:
     ref = ray.put(keys)
 
     def bad(t: pa.Table) -> int:
-        sorted_keys = ray.get(ref)
         v = t[col].drop_null().to_numpy(zero_copy_only=False)
-        if len(sorted_keys) == 0:
-            # empty/missing referenced table: every non-null probe row
-            # violates (the searchsorted path below would index [-1]
-            # into an empty array)
-            return len(v)
-        pos = np.searchsorted(sorted_keys, v)
-        hit = (pos < len(sorted_keys)) & (sorted_keys[
-            np.minimum(pos, len(sorted_keys) - 1)] == v)
+        hit, _ = probe_sorted(ray.get(ref), v)
         return int((~hit).sum())
 
     return _count_pass(ds, bad)

@@ -160,12 +160,15 @@ def _grad_partials(x: np.ndarray, y: np.ndarray, w: np.ndarray,
 # 10^6 training docs stay ≪ 2^63 at 2^40.
 _SCALE = float(1 << 40)
 
+# Training sets of at most this many rows run lr_train's GD loop on the
+# driver (read at call time).
+LOCAL_TRAIN_BELOW = 100_000
+
 
 def lr_train(ds, *, dim: int = 256, n_iters: int = 20, lr: float = 2.0,
              l2: float = 1e-4, key_col: str = "doc_id",
              text_col: str = "text", label_fn=default_label_batch,
-             train_mod: int = 1, local_train_below: int = 100_000,
-             token_hash: str = "sip",
+             train_mod: int = 1, token_hash: str = "sip",
              ) -> tuple[np.ndarray, float, list[float]]:
     """Train and return (weights[dim], bias, per-iter mean losses).
 
@@ -173,7 +176,7 @@ def lr_train(ds, *, dim: int = 256, n_iters: int = 20, lr: float = 2.0,
     (``doc_id % train_mod == 0``) — corpus-scale runs train on a
     sliver and score everything.
 
-    A training set of ≤ ``local_train_below`` rows is gathered ONCE
+    A training set of ≤ ``LOCAL_TRAIN_BELOW`` rows is gathered ONCE
     (after the one distributed featurize pass) and the GD loop runs on
     the driver: per-iteration Ray task launches were the dominant cost
     for small samples (15 × ~100 ms ≫ the matmul). The fixed-point
@@ -228,7 +231,7 @@ def lr_train(ds, *, dim: int = 256, n_iters: int = 20, lr: float = 2.0,
     b = 0.0
     losses: list[float] = []
 
-    if n_train <= local_train_below:
+    if n_train <= LOCAL_TRAIN_BELOW:
         xs, ys = [], []
         for t in feats.iter_batches(batch_size=8192,
                                     batch_format="pyarrow"):

@@ -30,9 +30,11 @@ import hashlib
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pyarrow.compute as pc
 
 from .analysis import kgram_hashes
+from .joins import bucketed_hash_join, probe_sorted
 
 NUM_PERMS = 64
 NUM_BANDS = 16
@@ -46,6 +48,11 @@ _PERM_B = _rng.randint(0, 2**62, size=NUM_PERMS).astype(np.uint64)
 _BAND_MIX = (_rng.randint(1, 2**62, size=ROWS_PER_BAND).astype(np.uint64) << np.uint64(1)) | np.uint64(1)
 del _rng
 
+# Candidate-pair count above which minhash_neardup_pairs verifies
+# through the bucketed shingle joins instead of one broadcast
+# id→shingles map (read at call time).
+JOIN_VERIFY_ABOVE = 50_000
+
 
 def content_hash(text: str) -> str:
     return hashlib.md5((text or "").encode("utf-8")).hexdigest()
@@ -58,8 +65,6 @@ def exact_dedup(ds, key_col: str = "doc_id", text_col: str = "text"):
     column is materialized as Python strings; no pandas copy of the
     block), then a groupby over the small (hash, key) projection only —
     payload never shuffles."""
-    import pyarrow as pa
-
     from ray.data.aggregate import Min
 
     def hash_batch(t: pa.Table) -> pa.Table:
@@ -107,7 +112,6 @@ def minhash_bands_batch(batch, key_col: str = "doc_id",
     values), so empty batches — possible after upstream filters — carry
     the same schema as non-empty ones instead of float64-defaulted
     columns poisoning the concatenated dataset."""
-    import pyarrow as pa
 
     if isinstance(batch, pa.Table):
         texts = batch[text_col].to_pylist()
@@ -143,9 +147,7 @@ def jaccard(a: np.ndarray, b: np.ndarray) -> float:
 
 def minhash_neardup_pairs(ds, *, key_col: str = "doc_id", text_col: str = "text",
                           k: int = 5, threshold: float = 0.7,
-                          max_bucket: int = 200, verify: str = "auto",
-                          join_verify_above: int = 50_000,
-                          output: str = "pandas"):
+                          max_bucket: int = 200, output: str = "pandas"):
     """Full near-dup pipeline → (id_a, id_b, jaccard_sim).
 
     Stages: signature+bands (map_batches, vectorized) → shuffle on
@@ -153,13 +155,12 @@ def minhash_neardup_pairs(ds, *, key_col: str = "doc_id", text_col: str = "text"
     verification. The LSH shuffle only moves 24-byte triples, never
     text.
 
-    ``verify``: "broadcast" ships an id→shingles map via ray.put and
-    probes it per chunk (fast while candidate shingle sets fit one
-    node); "join" re-derives shingles for candidate ids only and
-    attaches them to the pair list via two hash-partitioned joins —
-    nothing corpus-sized ever lands on one node. "auto" switches to the
-    join path when the candidate-pair count exceeds
-    ``join_verify_above``.
+    Verification ships an id→shingles map via ray.put and probes it per
+    chunk (fast while candidate shingle sets fit one node). Above
+    ``JOIN_VERIFY_ABOVE`` candidate pairs it re-derives shingles for
+    candidate ids only and attaches them to the pair list via two
+    hash-partitioned joins — nothing corpus-sized ever lands on one
+    node.
 
     ``output``: "pandas" (default — sorted DataFrame; bounds the pair
     set by driver memory, fine for duplicate-sparse corpora) or
@@ -221,17 +222,17 @@ def minhash_neardup_pairs(ds, *, key_col: str = "doc_id", text_col: str = "text"
                 "id_a": pd.Series([], dtype="int64"),
                 "id_b": pd.Series([], dtype="int64"),
                 "jaccard_sim": pd.Series([], dtype="float64")}))
-        from .groups import arrow_blocks
-
-        # the verify-join chain runs on pandas blocks (blob-pointer
-        # moves); re-block to homogeneous Arrow here or its EMPTY
-        # pandas partitions bypass every later pyarrow map and poison
-        # downstream exchanges (see groups.arrow_blocks). Pinned for
-        # the same reason as cand: minlabel_components consumes the
-        # pair set twice (vocab pass + factorize pass)
-        return arrow_blocks(_verify_pairs_join(
+        # one small block per join bucket, coalesced by an explicit
+        # batch_size: minlabel_components pays tasks per pair-set block
+        # in every propagation round (training_corpus_pipeline at
+        # sf0.1, 4 vCPU: components 6.1 s on 18 blocks, 2.2 s on 4).
+        # Pinned for the same reason as cand: minlabel_components
+        # consumes the pair set twice (vocab pass + factorize pass)
+        return _verify_pairs_join(
             ds, cand, key_col, text_col, k, threshold,
-            id_arr=id_arr, as_dataset=True)).materialize()
+            id_arr=id_arr, as_dataset=True).map_batches(
+                lambda t: t, batch_format="pyarrow",
+                batch_size=32768).materialize()
 
     cand_pdf = cand.to_pandas().drop_duplicates()  # candidates ≪ corpus
     if len(cand_pdf) == 0:
@@ -239,7 +240,7 @@ def minhash_neardup_pairs(ds, *, key_col: str = "doc_id", text_col: str = "text"
     if pd.api.types.is_integer_dtype(cand_pdf["id_a"]):
         cand_pdf = cand_pdf.astype({"id_a": "int64", "id_b": "int64"})
 
-    if verify == "join" or (verify == "auto" and len(cand_pdf) > join_verify_above):
+    if len(cand_pdf) > JOIN_VERIFY_ABOVE:
         verified = _verify_pairs_join(ds, cand_pdf, key_col, text_col, k, threshold)
     else:
         verified = _verify_pairs_broadcast(ds, cand_pdf, key_col, text_col, k, threshold)
@@ -318,76 +319,54 @@ def _verify_pairs_join(ds, cand, key_col: str, text_col: str,
     import ray
     import ray.data as rd
 
-    from .joins import bucketed_hash_join
-
     if id_arr is None:
         id_arr = np.unique(np.concatenate([cand["id_a"].to_numpy(),
                                            cand["id_b"].to_numpy()]))
     ids_ref = ray.put(id_arr)  # sorted
 
-    def collect_shingles(t) -> pd.DataFrame:
-        import pyarrow as _pa
-
-        ids_sorted = ray.get(ids_ref)
+    def collect_shingles(t: pa.Table) -> pa.Table:
         keys = t[key_col].to_numpy(zero_copy_only=False)
-        idx = np.searchsorted(ids_sorted, keys)
-        idx_c = np.minimum(idx, max(len(ids_sorted) - 1, 0))
-        mask = (ids_sorted[idx_c] == keys) if len(ids_sorted) else np.zeros(len(keys), bool)
-        sel = t.filter(_pa.array(mask))
-        return pd.DataFrame({
-            key_col: sel[key_col].to_numpy(zero_copy_only=False),
-            "shingles": [shingle_hashes(x or "", k).tobytes()
-                         for x in sel[text_col].to_pylist()],
+        hit, _ = probe_sorted(ray.get(ids_ref), keys)
+        sel = t.filter(pa.array(hit))
+        return pa.table({
+            key_col: sel[key_col],
+            "shingles": pa.array([shingle_hashes(x or "", k).tobytes()
+                                  for x in sel[text_col].to_pylist()],
+                                 pa.binary()),
         })
+
+    def renamed(names):
+        return lambda t: t.rename_columns(names)
 
     # Consumed by BOTH join sides below — pin the (candidate-bounded)
     # shingle rows once instead of re-deriving them per branch; lazy
     # branches would each re-read the corpus and re-shingle.
     sh = ds.map_batches(collect_shingles, batch_format="pyarrow").materialize()
-    sh_a = sh.map_batches(
-        lambda b: b.rename(columns={key_col: "id_a", "shingles": "sh_a"}),
-        batch_format="pandas")
-    sh_b = sh.map_batches(
-        lambda b: b.rename(columns={key_col: "id_b", "shingles": "sh_b"}),
-        batch_format="pandas")
+    sh_a = sh.map_batches(renamed(["id_a", "sh_a"]), batch_format="pyarrow")
+    sh_b = sh.map_batches(renamed(["id_b", "sh_b"]), batch_format="pyarrow")
     pairs_ds = cand if not isinstance(cand, pd.DataFrame) else rd.from_pandas(cand)
-    # block_format="pandas": the shingle columns are multi-KB blobs —
-    # Arrow boundaries copy the bytes at every conversion, pandas
-    # object blocks move pointers (measured 2-3x on this join chain)
-    import pyarrow as _pa
-
-    id_t = _pa.int64() if id_arr.dtype.kind in "iu" else _pa.string()
+    id_t = pa.int64() if id_arr.dtype.kind in "iu" else pa.string()
     j1 = bucketed_hash_join(pairs_ds, sh_a, on="id_a",
-                            num_buckets=num_buckets, block_format="pandas",
+                            num_buckets=num_buckets,
                             pad_schemas=({"id_b": id_t},
-                                         {"sh_a": _pa.binary()}))
-    # the union inside the join NaN-pads the other side's columns, which
-    # floats id_b — re-int it so the second join's hash buckets match
-    if id_arr.dtype.kind in "iu":
-        j1 = j1.map_batches(
-            lambda b: b.assign(id_b=b["id_b"].astype("int64")),
-            batch_format="pandas")
+                                         {"sh_a": pa.binary()}))
     j2 = bucketed_hash_join(j1, sh_b, on="id_b",
-                            num_buckets=num_buckets, block_format="pandas",
+                            num_buckets=num_buckets,
                             pad_schemas=({"id_a": id_t,
-                                          "sh_a": _pa.binary()},
-                                         {"sh_b": _pa.binary()}))
+                                          "sh_a": pa.binary()},
+                                         {"sh_b": pa.binary()}))
 
-    def score(b: pd.DataFrame) -> pd.DataFrame:
-        sims = [
+    def score(t: pa.Table) -> pa.Table:
+        sims = np.array([
             jaccard(np.frombuffer(sa, dtype=np.uint64),
                     np.frombuffer(sb, dtype=np.uint64))
-            for sa, sb in zip(b["sh_a"], b["sh_b"])
-        ]
-        ints = pd.api.types.is_numeric_dtype(b["id_a"])
-        out = pd.DataFrame({
-            "id_a": b["id_a"].astype("int64").to_numpy() if ints else b["id_a"].to_numpy(),
-            "id_b": b["id_b"].astype("int64").to_numpy() if ints else b["id_b"].to_numpy(),
-            "jaccard_sim": sims,
-        })
-        return out[out["jaccard_sim"] >= threshold]
+            for sa, sb in zip(t["sh_a"].to_pylist(), t["sh_b"].to_pylist())
+        ], np.float64)
+        out = pa.table({"id_a": t["id_a"], "id_b": t["id_b"],
+                        "jaccard_sim": pa.array(sims, pa.float64())})
+        return out.filter(pa.array(sims >= threshold))
 
-    scored = j2.map_batches(score, batch_format="pandas")
+    scored = j2.map_batches(score, batch_format="pyarrow")
     if as_dataset:
         return scored
     out = scored.to_pandas()
@@ -433,7 +412,6 @@ def simhash64(text: str, token_hash: str = "sip") -> int:
 def simhash_batch(batch, key_col: str = "doc_id",
                   text_col: str = "text",
                   token_hash: str = "sip") -> pd.DataFrame:
-    import pyarrow as pa
 
     if isinstance(batch, pa.Table):
         texts = batch[text_col].to_pylist()
@@ -545,8 +523,6 @@ def jaccard_neardup_pairs(ds, *, key_col: str = "doc_id",
     asymmetric news-wire-inclusion signal: one doc's grams mostly
     inside the other — pairs Jaccard misses when sizes differ a lot);
     output column becomes ``containment_sim``. Same two shuffles."""
-    import pyarrow as pa
-
     from .analysis import _gram_hashes
     from .groups import bucketed_group_apply
 
@@ -621,9 +597,6 @@ def minlabel_components(pairs, *, num_buckets: int = 16,
 
     from ray.data.aggregate import Min
 
-    from .joins import bucketed_hash_join
-
-    import pyarrow as pa
 
     if isinstance(pairs, pd.DataFrame):
         if len(pairs) == 0:
@@ -869,22 +842,16 @@ def neardup_keep_set(ds, *, key_col: str = "doc_id", text_col: str = "text",
     return keep_set_from_pairs(ds, pairs, key_col=key_col)
 
 
-def keep_set_from_pairs(ds, pairs, *, key_col: str = "doc_id",
-                        components: str = "minlabel"):
+def keep_set_from_pairs(ds, pairs, *, key_col: str = "doc_id"):
     """Near-dup pairs → (key, group_root, kept) over the full corpus:
     components of the pair graph, broadcast as sorted (nodes, roots)
     arrays (bounded by the candidate set, ≪ corpus), probed per batch
     with searchsorted. kept ⇔ the doc is its own group root (every
-    unpaired doc roots itself).
-
-    ``components``: "minlabel" (O(diameter) rounds — near-dup graphs
-    are shallow; also accepts a pair DATASET) or "star"
-    (large-star/small-star, O(log²) rounds — for adversarial
-    chain-shaped graphs; pandas pairs only)."""
+    unpaired doc roots itself). ``pairs`` is a pandas pair list or a
+    pair Dataset."""
     import ray
 
-    comp = (star_components(pairs) if components == "star"
-            else minlabel_components(pairs))
+    comp = minlabel_components(pairs)
     nodes = comp["node"].to_numpy()
     roots = comp["group_root"].to_numpy()
     ref = ray.put((nodes, roots))
@@ -895,10 +862,8 @@ def keep_set_from_pairs(ds, pairs, *, key_col: str = "doc_id",
         ns, rs = ray.get(ref)
         ids = b[key_col].to_numpy(zero_copy_only=False)
         grp = ids.copy()
-        if len(ns):
-            idx = np.minimum(np.searchsorted(ns, ids), len(ns) - 1)
-            hit = ns[idx] == ids
-            grp[hit] = rs[idx[hit]]
+        hit, idx = probe_sorted(ns, ids)
+        grp[hit] = rs[idx[hit]]
         return pd.DataFrame({
             key_col: ids,
             "group_root": grp,
@@ -1077,8 +1042,6 @@ def span_dup_candidate_hashes(ds, *, text_col: str = "text", L: int = 50,
     Ray's sort aggregate walks the millions of one-row hash groups at
     Python speed (measured 26 s vs 1 s for the same exchange at
     sf0.1)."""
-    import pyarrow as pa
-
     from .groups import bucketed_group_apply
 
     def partial(t: pa.Table) -> pa.Table:
@@ -1116,7 +1079,6 @@ def span_dedup(ds, *, key_col: str = "doc_id", text_col: str = "text",
     budget the probe becomes a hash-partitioned join on ``gh`` like
     ``_verify_pairs_join``. Returns (key, dup_windows, text_spanclean).
     """
-    import pyarrow as pa
     import ray
 
     from .groups import bucketed_group_apply
@@ -1127,20 +1089,16 @@ def span_dedup(ds, *, key_col: str = "doc_id", text_col: str = "text",
         else np.empty(0, np.uint64)
     cand_ref = ray.put(cand_arr)
 
-    def _hits(cands: np.ndarray, text: str):
-        h = _char_window_hashes(text, L)
-        if len(h) == 0 or len(cands) == 0:
-            return h, np.empty(0, np.int64)
-        pos = np.searchsorted(cands, h)
-        ok = (pos < len(cands)) & (cands[np.minimum(pos, len(cands) - 1)] == h)
-        return h, np.nonzero(ok)[0]
+    def _hits(cands: np.ndarray, text: str) -> np.ndarray:
+        # start offsets of the text's candidate windows
+        return np.nonzero(probe_sorted(cands, _char_window_hashes(text, L))[0])[0]
 
     def gram_partial(t: pa.Table) -> pa.Table:
         cands = ray.get(cand_ref)
         counts: dict[str, int] = {}
         for text in t[text_col].to_pylist():
             text = text or ""
-            _, idx = _hits(cands, text)
+            idx = _hits(cands, text)
             for i in idx:
                 g = text[i:i + L]
                 counts[g] = counts.get(g, 0) + 1
@@ -1163,7 +1121,7 @@ def span_dedup(ds, *, key_col: str = "doc_id", text_col: str = "text",
         out_text, out_cnt = [], []
         for text in t[text_col].to_pylist():
             text = text or ""
-            _, idx = _hits(cands, text)
+            idx = _hits(cands, text)
             marked = [i for i in idx if text[i:i + L] in dup]
             if not marked:
                 out_text.append(text)
@@ -1186,8 +1144,7 @@ def span_dedup(ds, *, key_col: str = "doc_id", text_col: str = "text",
 
 
 def keep_best_from_pairs(ds, pairs: pd.DataFrame, *, key_col: str = "doc_id",
-                         text_col: str = "text",
-                         components: str = "minlabel"):
+                         text_col: str = "text"):
     """Quality-ranked representative selection: like
     ``keep_set_from_pairs`` but the kept doc per near-dup cluster is
     the LONGEST (trimmed char count; key tiebreak) — the standard
@@ -1199,23 +1156,16 @@ def keep_best_from_pairs(ds, pairs: pd.DataFrame, *, key_col: str = "doc_id",
     ships (key, score) for component nodes only; the per-group argmax
     runs over that bounded frame on the driver; winners broadcast as
     sorted arrays probed per batch."""
-    import pyarrow as pa
     import ray
 
-    comp = (star_components(pairs) if components == "star"
-            else minlabel_components(pairs))
+    comp = minlabel_components(pairs)
     nodes = np.sort(comp["node"].to_numpy())
     roots = comp.set_index("node")["group_root"]
     nodes_ref = ray.put(nodes)
 
     def node_scores(t) -> pd.DataFrame:
-        ns = ray.get(nodes_ref)
         ids = t[key_col].to_numpy(zero_copy_only=False)
-        if len(ns):
-            idx = np.minimum(np.searchsorted(ns, ids), len(ns) - 1)
-            hit = ns[idx] == ids
-        else:
-            hit = np.zeros(len(ids), bool)
+        hit, _ = probe_sorted(ray.get(nodes_ref), ids)
         sel = t.filter(pa.array(hit))
         score = np.asarray([len((s or "").strip())
                             for s in sel[text_col].to_pylist()], np.int64)
@@ -1242,11 +1192,9 @@ def keep_best_from_pairs(ds, pairs: pd.DataFrame, *, key_col: str = "doc_id",
         ids = b[key_col].to_numpy(zero_copy_only=False)
         grp = ids.copy()
         win = ids.copy()
-        if len(ns):
-            idx = np.minimum(np.searchsorted(ns, ids), len(ns) - 1)
-            hit = ns[idx] == ids
-            grp[hit] = rs[idx[hit]]
-            win[hit] = ws[idx[hit]]
+        hit, idx = probe_sorted(ns, ids)
+        grp[hit] = rs[idx[hit]]
+        win[hit] = ws[idx[hit]]
         return pd.DataFrame({
             key_col: ids,
             "group_root": grp,

@@ -24,6 +24,7 @@ import pandas as pd
 import pyarrow as pa
 
 from pdf_to_text_ray.stages.groups import arrow_out
+from pdf_to_text_ray.stages.joins import probe_sorted
 
 
 def pagerank(edges, *, src_col: str = "src", dst_col: str = "dst",
@@ -171,9 +172,13 @@ def hits(edges, *, src_col: str = "src", dst_col: str = "dst",
                          "hub": hub, "authority": auth})
 
 
+# Oriented-edge count up to which triangle_count closes wedges against
+# one broadcast edge-key array (read at call time).
+BROADCAST_EDGES_MAX = 5_000_000
+
+
 def triangle_count(edges, *, u_col: str = "u", v_col: str = "v",
-                   num_buckets: int = 32, closure: str = "auto",
-                   broadcast_edges_max: int = 5_000_000) -> pd.DataFrame:
+                   num_buckets: int = 32) -> pd.DataFrame:
     """Exact triangle count over an undirected edge Dataset (rows may
     be in either vertex order; parallel duplicates are deduped here).
     Returns a 1-row DataFrame (n_triangles).
@@ -191,15 +196,14 @@ def triangle_count(edges, *, u_col: str = "u", v_col: str = "v",
          ray.put),
       3. one bucketed shuffle by wedge-center to explode each node's
          out-neighbor pairs (vectorized triu per center),
-      4. closure check. ``closure="broadcast"`` (or "auto" with ≤
-         ``broadcast_edges_max`` edges whose ids fit 31 bits): the
-         oriented edge set ships ONCE as a sorted packed-uint64 array
-         and every bucket closes its own wedges with one searchsorted
-         — the O(m^1.5) wedge stream never leaves its bucket.
-         ``closure="join"`` (and the auto fallback for bigger
-         graphs): wedges pre-aggregate per bucket to (a, b, cnt) and
-         meet the oriented edges in a second bucketed exchange —
-         nothing graph-sized on the driver or in any broadcast.
+      4. closure check. With ≤ ``BROADCAST_EDGES_MAX`` edges whose
+         ids fit 31 bits, the oriented edge set ships ONCE as a sorted
+         packed-uint64 array and every bucket closes its own wedges
+         with one sorted-key probe — the O(m^1.5) wedge stream never
+         leaves its bucket. Bigger graphs: wedges pre-aggregate per
+         bucket to (a, b, cnt) and meet the oriented edges in a second
+         bucketed exchange — nothing graph-sized on the driver or in
+         any broadcast.
     """
     import ray
     from pdf_to_text_ray.stages.groups import bucketed_group_apply
@@ -303,11 +307,9 @@ def triangle_count(edges, *, u_col: str = "u", v_col: str = "v",
 
     n_edges = e.count()
     max_node = int(nodes.max())
-    if closure == "broadcast" or (closure == "auto"
-                                  and n_edges <= broadcast_edges_max
-                                  and 0 <= max_node < 2 ** 31
-                                  and int(nodes.min()) >= 0):
-        # bounded broadcast (≤ 8 B × broadcast_edges_max): the packed
+    if (n_edges <= BROADCAST_EDGES_MAX and 0 <= max_node < 2 ** 31
+            and int(nodes.min()) >= 0):
+        # bounded broadcast (≤ 8 B × BROADCAST_EDGES_MAX): the packed
         # sorted edge-key array closes every wedge in its own bucket
         ep = oriented.to_pandas()
         ekeys = np.sort((ep["src"].to_numpy().astype(np.uint64)
@@ -319,12 +321,9 @@ def triangle_count(edges, *, u_col: str = "u", v_col: str = "v",
             a, b = _wedge_pairs(g)
             if len(a) == 0:
                 return pd.DataFrame({"tri": pd.Series([0], dtype="int64")})
-            ek = ray.get(eref)
             keys = (a.astype(np.uint64) << np.uint64(32)) \
                 | b.astype(np.uint64)
-            pos = np.searchsorted(ek, keys)
-            hit = (pos < len(ek)) & (ek[np.minimum(pos, len(ek) - 1)]
-                                     == keys)
+            hit, _ = probe_sorted(ray.get(eref), keys)
             return pd.DataFrame({"tri":
                                  pd.Series([int(hit.sum())],
                                            dtype="int64")})

@@ -64,26 +64,6 @@ def _meta_free(t: pa.Table) -> pa.Table:
     return t.replace_schema_metadata(None) if t.schema.metadata else t
 
 
-def arrow_blocks(ds, *, batch_size: int = 32768):
-    """Force a Dataset onto homogeneous Arrow blocks.
-
-    A plain ``map_batches(..., batch_format="pyarrow")`` does NOT do
-    this: Ray short-circuits ZERO-ROW blocks past the UDF unconverted,
-    so a pandas-block stage (e.g. the blob-friendly
-    ``block_format="pandas"`` join) leaks empty pandas blocks through
-    every later pyarrow-declared map — and Ray's sort-boundary sampler
-    asserts block-type homogeneity, killing the next exchange with
-    ``BlockType.PANDAS != BlockType.ARROW`` (probabilistically: only
-    when a sample draws both types). An EXPLICIT ``batch_size`` routes
-    every block through the batcher, which drains empty blocks into
-    its neighbors, so the output is all-Arrow with no empties.
-
-    Use at the boundary where a pandas-block stage feeds an Arrow
-    exchange (sort/groupby/aggregate)."""
-    return ds.map_batches(lambda t: _meta_free(t),
-                          batch_format="pyarrow", batch_size=batch_size)
-
-
 def grouped_partials(ds, keys, *, sums=(), mins=(), maxes=(),
                      count: str | None = None, prep=None,
                      batch_size: int | None = None) -> pd.DataFrame:

@@ -3,12 +3,18 @@
 Ray 2.49 has no stable ``Dataset.join``; these are the portable
 patterns (documented in the public Ray Data guidance):
 
+- ``probe_sorted``: the one membership probe of a small sorted key
+  set (a broadcast semi-join, a keyed lookup). Every caller tests
+  membership through it and reads key-aligned values only under its
+  ``hit`` mask, so an empty key set is safe everywhere.
 - ``broadcast_join``: small side via ``ray.put`` + per-batch pandas
   merge. No shuffle. (Used by queries.join_customer_orders.)
 - ``bucketed_hash_join``: both sides large — add
   ``bucket = stable_hash(key) % B`` to both sides, union them with a
   side tag, shuffle once on the bucket, then one vectorized pandas
-  merge per bucket. Partitioning assumption: every key's rows fit in
+  merge per bucket. Blocks are Arrow on both sides of the exchange,
+  blob columns included: one block type per dataset is what Ray's
+  exchanges assume. Partitioning assumption: every key's rows fit in
   one bucket's memory; salt hot keys into sub-buckets if not.
 - ``asof_join``: per-key ordered backward join (latest right row with
   ts ≤ left ts) — bucket by key, ``pd.merge_asof`` per bucket over
@@ -25,8 +31,19 @@ import pyarrow.compute as pc
 from .groups import arrow_out
 
 
-def _bucket_of(values: pd.Series, num_buckets: int) -> np.ndarray:
-    return (pd.util.hash_array(values.to_numpy()) % num_buckets).astype("int64")
+def probe_sorted(keys: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Membership of each ``x[i]`` in the ascending 1-D ``keys`` (ints
+    or object strings; duplicates allowed) → ``(hit, idx)``.
+
+    ``hit[i]`` is True iff ``x[i]`` equals a key, and then ``idx[i]``
+    is the leftmost equal key's position; elsewhere ``idx[i]`` is some
+    position in ``[0, len(keys))``. Empty ``keys`` give ``hit`` all
+    False and ``idx`` all 0, so read key-aligned values only through
+    ``idx[hit]`` or under ``hit``."""
+    if len(keys) == 0:
+        return np.zeros(len(x), bool), np.zeros(len(x), np.intp)
+    idx = np.minimum(np.searchsorted(keys, x), len(keys) - 1)
+    return keys[idx] == x, idx
 
 
 def bucketed_hash_join(left, right, on: str, *, num_buckets: int = 32,
@@ -34,7 +51,6 @@ def bucketed_hash_join(left, right, on: str, *, num_buckets: int = 32,
                        how: str = "inner",
                        left_cols: list[str] | None = None,
                        right_cols: list[str] | None = None,
-                       block_format: str = "pyarrow",
                        pad_schemas: tuple[dict, dict] | None = None):
     """Explicit partitioned hash join of two Datasets on one key column.
 
@@ -46,16 +62,6 @@ def bucketed_hash_join(left, right, on: str, *, num_buckets: int = 32,
     a bucket that happens to contain only one side would drop the other
     side's columns under outer joins. Pass them for non-inner joins.
 
-    ``block_format``: "pyarrow" (default) keeps the bucket exchange on
-    Ray's Arrow fast path — right for relational rows (measured ~5×
-    on downstream aggregates). "pandas" keeps every block pandas
-    end-to-end: right when a side carries LARGE BINARY/blob cells
-    (shingle sets, payloads) — Arrow boundaries copy blob bytes at
-    every conversion while pandas object blocks move pointers
-    (measured 2-3× on the minhash verify join). Do not mix formats
-    within one dataset: Ray's exchange asserts block-type
-    homogeneity.
-
     ``pad_schemas``: optional ``(left_non_key, right_non_key)`` dicts
     of column name → pyarrow DataType, declaring each side's non-key
     columns. When given, each side's tag map pads the OTHER side's
@@ -66,11 +72,7 @@ def bucketed_hash_join(left, right, on: str, *, num_buckets: int = 32,
     iterative callers like min-label propagation) and defeats its
     schema-dedup fast path. Statically-known schemas only — passing
     types that disagree with the data keeps the join correct but
-    brings the warning back. In pandas mode the declared-integer
-    columns ride the exchange as float64 on BOTH sides (the union's
-    NaN-pad coerces them anyway; the ``i`` tag restores int64 after
-    the per-bucket merge), so values must be ≤ 2^53 — the same bound
-    the NaN-pad coercion already imposed."""
+    brings the warning back."""
 
     # The union NaN-pads each side's tagged columns into the other
     # side's blocks, which COERCES integer columns to float64 — and a
@@ -82,7 +84,6 @@ def bucketed_hash_join(left, right, on: str, *, num_buckets: int = 32,
     # ds.schema() here would EXECUTE a lazy upstream plan just to read
     # dtypes (measured: a chained join re-ran its 4 s left-side plan as
     # a limit-1 schema probe before running it again for real).
-    import pyarrow as pa
 
     # Side membership is carried explicitly via column PREFIXES (not
     # inferred from all-null columns post-union, which silently drops a
@@ -95,8 +96,6 @@ def bucketed_hash_join(left, right, on: str, *, num_buckets: int = 32,
     # block type — pandas-declared maps force the sort onto the pandas
     # slow path (~5x, see groups.arrow_out) and make Ray emit empty
     # pandas partitions that break block-type homogeneity.
-    arrow_blocks = block_format == "pyarrow"
-
     def _tagged_name(side: str, c: str, typ) -> str:
         return f"{side}::{'i' if pa.types.is_integer(typ) else 'o'}::{c}"
 
@@ -109,11 +108,11 @@ def bucketed_hash_join(left, right, on: str, *, num_buckets: int = 32,
             pad_cols += [(s, c, t) for c, t in sorted(sch.items())]
 
     def tag(side: str):
-        def fn_arrow(t: pa.Table) -> pa.Table:
+        def fn(t: pa.Table) -> pa.Table:
             if pad_schemas is None:
                 t = t.rename_columns(
                     [c if c == on else
-                     f"{side}::{'i' if pa.types.is_integer(t.schema.field(c).type) else 'o'}::{c}"
+                     _tagged_name(side, c, t.schema.field(c).type)
                      for c in t.column_names])
             else:
                 cols = [t[on]]
@@ -129,41 +128,15 @@ def bucketed_hash_join(left, right, on: str, *, num_buckets: int = 32,
             return t.append_column(
                 "_side", pa.array([side] * t.num_rows, pa.string()))
 
-        def fn_pandas(b: pd.DataFrame) -> pd.DataFrame:
-            if pad_schemas is None:
-                b = b.rename(columns={
-                    c: f"{side}::{'i' if pd.api.types.is_integer_dtype(b[c]) else 'o'}::{c}"
-                    for c in b.columns if c != on})
-            else:
-                out = {on: b[on]}
-                for s, c, typ in pad_cols:
-                    numeric = pa.types.is_integer(typ) or pa.types.is_floating(typ)
-                    if s == side:
-                        # declared-int rides as float64 so both sides'
-                        # dtypes match (the union NaN-pad coerces int
-                        # anyway; join_bucket's restore re-ints)
-                        out[_tagged_name(s, c, typ)] = (
-                            b[c].astype("float64") if numeric else b[c])
-                    else:
-                        out[_tagged_name(s, c, typ)] = pd.Series(
-                            np.nan if numeric else None,
-                            index=b.index,
-                            dtype="float64" if numeric else object)
-                b = pd.DataFrame(out)
-            b["_bucket"] = _bucket_of(b[on], num_buckets)
-            b["_side"] = side
-            return b
+        return fn
 
-        return fn_arrow if arrow_blocks else fn_pandas
-
-    fmt = "pyarrow" if arrow_blocks else "pandas"
-    both = left.map_batches(tag("l"), batch_format=fmt).union(
-        right.map_batches(tag("r"), batch_format=fmt)
+    both = left.map_batches(tag("l"), batch_format="pyarrow").union(
+        right.map_batches(tag("r"), batch_format="pyarrow")
     )
 
-    def join_bucket(t):
+    def join_bucket(t: pa.Table) -> pa.Table:
         # pyarrow batch_format: see groups.bucketed_group_apply
-        g = t.to_pandas() if arrow_blocks else t
+        g = t.to_pandas()
         lcols = [c for c in g.columns if c.startswith("l::")]
         rcols = [c for c in g.columns if c.startswith("r::")]
         restore = {c[6:]: "int64" for c in g.columns
@@ -184,15 +157,16 @@ def bucketed_hash_join(left, right, on: str, *, num_buckets: int = 32,
         if (lg.empty and rg.empty) \
                 or (lg.empty and how in ("inner", "left")) \
                 or (rg.empty and how in ("inner", "right")):
-            return arrow_out(pd.DataFrame()) if arrow_blocks else pd.DataFrame()
+            return arrow_out(pd.DataFrame())
         out = lg.merge(rg, on=on, how=how, suffixes=suffixes)
         for c, dt in restore.items():
             if c in out.columns and out[c].dtype != dt and \
                     not out[c].isna().any():
                 out[c] = out[c].astype(dt)
-        return arrow_out(out) if arrow_blocks else out
+        return arrow_out(out)
 
-    return both.groupby("_bucket").map_groups(join_bucket, batch_format=fmt)
+    return both.groupby("_bucket").map_groups(join_bucket,
+                                              batch_format="pyarrow")
 
 
 def broadcast_join(left, right, on: str, *,
@@ -237,10 +211,9 @@ def auto_join(left, right, on: str, *,
               num_buckets: int = 32,
               suffixes: tuple[str, str] = ("_l", "_r"),
               left_cols: list[str] | None = None,
-              right_cols: list[str] | None = None,
-              broadcast_limit_bytes: int = BROADCAST_LIMIT_BYTES):
+              right_cols: list[str] | None = None):
     """Join planner: broadcast the right side when its estimated size
-    fits ``broadcast_limit_bytes``, else fall back to the bucketed
+    fits ``BROADCAST_LIMIT_BYTES``, else fall back to the bucketed
     hash join (one all-to-all).
 
     The size estimate is ``right.size_bytes()`` — metadata-only for
@@ -252,7 +225,7 @@ def auto_join(left, right, on: str, *,
         est = right.size_bytes()
     except Exception:
         est = None
-    if est is not None and est <= broadcast_limit_bytes \
+    if est is not None and est <= BROADCAST_LIMIT_BYTES \
             and how in ("inner", "left"):
         # outer/right joins always take the bucketed path: the
         # broadcast merge runs per left batch and cannot emit

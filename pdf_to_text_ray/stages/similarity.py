@@ -124,20 +124,24 @@ def knn_bruteforce(ds, query_ids: list[int], k: int = 10,
     return out[["query_id", id_col, "rank"]].reset_index(drop=True)
 
 
+# Row count above which embedding_neardup_pairs leaves the exact
+# broadcast matmul for LSH blocking (read at call time).
+EXACT_MAX_ROWS = 200_000
+
+
 def embedding_neardup_pairs(ds, threshold: float = 0.95,
-                            id_col: str = "vec_id", vec_col: str = "embedding",
-                            method: str = "auto",
-                            max_exact: int = 200_000) -> pd.DataFrame:
+                            id_col: str = "vec_id",
+                            vec_col: str = "embedding") -> pd.DataFrame:
     """Cosine-threshold self-join → (id_a, id_b) with id_a < id_b.
 
-    ``method``: "exact" — broadcast the normalized matrix once, each
-    batch matmuls its rows against it (O(n²) work, O(n·d) broadcast;
-    this is also the oracle-checked baseline); "blocked" — multi-table
+    Up to ``EXACT_MAX_ROWS`` rows it is exact: broadcast the normalized
+    matrix once, each batch matmuls its rows against it (O(n²) work,
+    O(n·d) broadcast; this is also the oracle-checked baseline).
+    Beyond, ``embedding_neardup_pairs_blocked``: multi-table
     hyperplane-LSH bucketing + exact cosine within buckets (the scale
     path: no full-matrix broadcast, work ∝ bucket sizes; approximate
-    with recall ≈ 1-(1-p^b)^T); "auto" — exact up to ``max_exact``
-    rows, blocked beyond."""
-    if method == "blocked" or (method == "auto" and ds.count() > max_exact):
+    with recall ≈ 1-(1-p^b)^T)."""
+    if ds.count() > EXACT_MAX_ROWS:
         return embedding_neardup_pairs_blocked(
             ds, threshold, id_col=id_col, vec_col=vec_col)
     import ray

@@ -311,3 +311,62 @@ def test_no_hand_rolled_partial_merges():
                                      and b.id in frames):
                 bad.append(f"{fn.name}:{n.lineno}")
     assert not bad, f"hand-rolled partial merges (use grouped_partials): {bad}"
+
+
+def test_no_hand_rolled_probes():
+    """Membership in a sorted key set goes through
+    ``joins.probe_sorted``, the one empty-safe probe. Reject a
+    ``K[i] == x`` or ``K[i] != x`` comparison whose index holds
+    ``searchsorted(K, ...)``, inline or through names bound in the same
+    function."""
+    import ast
+
+    def is_searchsorted(n):
+        f = getattr(n, "func", None)
+        return (isinstance(n, ast.Call) and n.args
+                and getattr(f, "attr", getattr(f, "id", None))
+                == "searchsorted")
+
+    def own_nodes(fn):
+        # the function's own statements, not those of nested defs
+        todo = [fn]
+        while todo:
+            n = todo.pop()
+            yield n
+            todo.extend(c for c in ast.iter_child_nodes(n)
+                        if not isinstance(c, (ast.FunctionDef, ast.Lambda)))
+
+    def probed(expr, held):
+        # the key sets ``expr`` holds a searchsorted position into
+        out = set()
+        for n in ast.walk(expr):
+            if is_searchsorted(n):
+                out.add(ast.dump(n.args[0]))
+            elif isinstance(n, ast.Name):
+                out |= held.get(n.id, set())
+        return out
+
+    bad = set()  # file:line sites
+    for path, _ in _py_files("pdf_to_text_ray"):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, ast.FunctionDef) or fn.name == "probe_sorted":
+                continue
+            nodes = list(own_nodes(fn))
+            held: dict[str, set] = {}
+            for _ in range(3):  # names bound through names
+                for n in nodes:
+                    if isinstance(n, ast.Assign):
+                        ks = probed(n.value, held)
+                        for t in n.targets:
+                            if isinstance(t, ast.Name) and ks:
+                                held.setdefault(t.id, set()).update(ks)
+            for n in nodes:
+                if not (isinstance(n, ast.Compare) and len(n.ops) == 1
+                        and isinstance(n.ops[0], (ast.Eq, ast.NotEq))):
+                    continue
+                if any(isinstance(side, ast.Subscript)
+                       and ast.dump(side.value) in probed(side.slice, held)
+                       for side in (n.left, n.comparators[0])):
+                    bad.add(f"{path.name}:{n.lineno}")
+    assert not bad, (
+        f"hand-rolled sorted-key probes (use probe_sorted): {sorted(bad)}")

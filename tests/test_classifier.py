@@ -83,16 +83,19 @@ def test_lr_train_empty_training_set_raises(ray_session):
                  label_fn=lambda t, c="text": np.full(t.num_rows, np.nan))
 
 
-def test_local_and_distributed_training_bit_identical(ray_session):
+def test_local_and_distributed_training_bit_identical(ray_session,
+                                                      monkeypatch):
     """The small-sample local GD loop and the distributed partials path
     share _grad_partials' fixed-point quantization, so crossing the
-    local_train_below threshold must not change a single bit."""
+    LOCAL_TRAIN_BELOW threshold must not change a single bit."""
     import ray.data as rd
 
+    from pdf_to_text_ray.stages import classifier
+
     ds = rd.from_arrow(_docs_table()).repartition(5)
-    w_loc, b_loc, l_loc = lr_train(ds, dim=64, n_iters=5,
-                                   local_train_below=10_000)
-    w_dist, b_dist, l_dist = lr_train(ds, dim=64, n_iters=5,
-                                      local_train_below=0)
+    monkeypatch.setattr(classifier, "LOCAL_TRAIN_BELOW", 10_000)
+    w_loc, b_loc, l_loc = lr_train(ds, dim=64, n_iters=5)
+    monkeypatch.setattr(classifier, "LOCAL_TRAIN_BELOW", 0)
+    w_dist, b_dist, l_dist = lr_train(ds, dim=64, n_iters=5)
     assert np.array_equal(w_loc, w_dist)
     assert b_loc == b_dist and l_loc == l_dist

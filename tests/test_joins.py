@@ -1,7 +1,38 @@
+import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pytest
 
-from pdf_to_text_ray.stages.joins import asof_join, bucketed_hash_join
+from pdf_to_text_ray.stages.joins import (
+    asof_join, bucketed_hash_join, probe_sorted)
+
+
+@pytest.mark.parametrize("keys, x, hit, pos", [
+    # below the minimum, equal, between keys, a duplicated key (its
+    # leftmost position), equal to the maximum, above it
+    (np.array([3, 5, 5, 5, 9], np.int64),
+     np.array([1, 3, 4, 5, 9, 12], np.int64),
+     [False, True, False, True, True, False], [None, 0, None, 1, 4, None]),
+    (np.array(["b", "d", "d", "f"], dtype=object),
+     np.array(["a", "b", "c", "d", "f", "g"], dtype=object),
+     [False, True, False, True, True, False], [None, 0, None, 1, 3, None]),
+])
+def test_probe_sorted_contract(keys, x, hit, pos):
+    got_hit, idx = probe_sorted(keys, x)
+    assert got_hit.dtype == bool and got_hit.tolist() == hit
+    assert ((0 <= idx) & (idx < len(keys))).all()
+    assert [int(i) if h else None for h, i in zip(hit, idx)] == pos
+
+
+def test_probe_sorted_empty_keys_and_probes():
+    for keys in (np.array([], np.int64), np.array([], dtype=object)):
+        hit, idx = probe_sorted(keys, np.array([1, 2, 3]))
+        assert hit.tolist() == [False] * 3 and idx.tolist() == [0] * 3
+    hit, idx = probe_sorted(np.array([1, 2], np.int64),
+                            np.array([], np.int64))
+    assert len(hit) == 0 and len(idx) == 0 and hit.dtype == bool
+    hit, idx = probe_sorted(np.array([], np.int64), np.array([], np.int64))
+    assert len(hit) == 0 and len(idx) == 0
 
 
 def test_bucketed_hash_join_matches_pandas(ray_session):
@@ -99,10 +130,11 @@ def test_temporal_band_count_matches_bruteforce(ray_session):
     assert out["n"].to_numpy().tolist() == want.tolist()
 
 
-def test_auto_join_routes_and_parity(ray_session):
+def test_auto_join_routes_and_parity(ray_session, monkeypatch):
     import numpy as np
     import ray.data as rd
 
+    from pdf_to_text_ray.stages import joins
     from pdf_to_text_ray.stages.joins import (
         auto_join, broadcast_join, bucketed_hash_join)
 
@@ -125,8 +157,8 @@ def test_auto_join_routes_and_parity(ray_session):
 
     # planner: tiny right side → broadcast; forced 0-byte limit → bucketed
     small = run(auto_join(lds, rds, "k"))
-    forced = run(auto_join(lds, rds, "k", broadcast_limit_bytes=0)
-                 .select_columns(["k", "x", "name"]))
+    monkeypatch.setattr(joins, "BROADCAST_LIMIT_BYTES", 0)
+    forced = run(auto_join(lds, rds, "k").select_columns(["k", "x", "name"]))
     pd.testing.assert_frame_equal(small, expect)
     pd.testing.assert_frame_equal(forced, expect)
 

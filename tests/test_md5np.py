@@ -1,6 +1,7 @@
 """The vectorized md5 prefix kernel and the md5 uniform built on it:
 bit-identical to hashlib on every path (single block, the 55/56-byte
-boundary, the hashlib fallback, sliced and chunked Arrow input)."""
+boundary, the hashlib fallback, calls on either side of the small-call
+crossover, sliced and chunked Arrow input)."""
 
 from __future__ import annotations
 
@@ -12,7 +13,8 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
-from pdf_to_text_ray.stages.md5np import _CHUNK, md5_prefix64
+from pdf_to_text_ray.stages import md5np
+from pdf_to_text_ray.stages.md5np import _CHUNK, _KERNEL_MIN_KEYS, md5_prefix64
 from pdf_to_text_ray.stages.sketches import md5_uniform
 
 SF = "/root/testdata/sf0.001"
@@ -63,6 +65,23 @@ def test_block_boundary_and_fallback():
             "", "x"]
     assert [len(k.encode()) for k in keys[4:8]] == [55, 56, 55, 56]
     assert (md5_prefix64(pa.array(keys)) == _ref64(keys)).all()
+    many = keys * (_KERNEL_MIN_KEYS // len(keys) + 1)   # kernel path
+    assert (md5_prefix64(pa.array(many)) == _ref64(many)).all()
+
+
+@pytest.mark.parametrize("n", [1, 63, _KERNEL_MIN_KEYS - 1,
+                               _KERNEL_MIN_KEYS, _KERNEL_MIN_KEYS + 1])
+def test_calls_either_side_of_the_crossover(n, monkeypatch):
+    """Fewer than _KERNEL_MIN_KEYS keys hash through hashlib and never
+    reach the kernel; at and above it the kernel runs. Both paths give
+    hashlib's digests."""
+    calls = []
+    kernel = md5np.md5_single_block
+    monkeypatch.setattr(md5np, "md5_single_block",
+                        lambda m: calls.append(len(m)) or kernel(m))
+    keys = _random_keys(n, seed=n, max_bytes=70)
+    assert (md5_prefix64(pa.array(keys)) == _ref64(keys)).all()
+    assert bool(calls) == (n >= _KERNEL_MIN_KEYS)
 
 
 def test_prefix_shifts_spell_the_hex_prefixes():

@@ -290,20 +290,23 @@ def test_events_key_skew_profile_uniform_vs_skewed(ray_session,
     assert r2["gini"] > 0.3 and r2["top_share"] == 0.875
 
 
-def test_triangle_closure_paths_agree(ray_session):
+def test_triangle_closure_paths_agree(ray_session, monkeypatch):
     """broadcast and join closure modes count identically on a random
     graph (the auto switch must never change the answer)."""
     import ray.data as rd
 
+    from pdf_to_text_ray.stages import graph
     from pdf_to_text_ray.stages.graph import triangle_count
 
     rng = np.random.default_rng(17)
     e = pd.DataFrame({"u": rng.integers(0, 40, 400),
                       "v": rng.integers(0, 40, 400)})
-    nb = triangle_count(rd.from_pandas(e), num_buckets=4,
-                        closure="broadcast")["n_triangles"].iloc[0]
-    nj = triangle_count(rd.from_pandas(e), num_buckets=4,
-                        closure="join")["n_triangles"].iloc[0]
+    monkeypatch.setattr(graph, "BROADCAST_EDGES_MAX", 10**9)
+    nb = triangle_count(rd.from_pandas(e),
+                        num_buckets=4)["n_triangles"].iloc[0]
+    monkeypatch.setattr(graph, "BROADCAST_EDGES_MAX", -1)
+    nj = triangle_count(rd.from_pandas(e),
+                        num_buckets=4)["n_triangles"].iloc[0]
     assert int(nb) == int(nj) > 0
 
 

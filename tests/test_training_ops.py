@@ -421,13 +421,16 @@ def test_minlabel_components_matches_union_find(ray_session):
     assert list(empty.columns) == ["node", "group_root"] and len(empty) == 0
 
 
-def test_minhash_verify_join_matches_broadcast(dup_docs_ds):
+def test_minhash_verify_join_matches_broadcast(dup_docs_ds, monkeypatch):
     """The hash-partitioned verify join (10^12-doc path) returns exactly
     the broadcast-verified pair set."""
+    from pdf_to_text_ray.stages import dedup
     from pdf_to_text_ray.stages.dedup import minhash_neardup_pairs
 
-    a = minhash_neardup_pairs(dup_docs_ds, threshold=0.5, verify="broadcast")
-    b = minhash_neardup_pairs(dup_docs_ds, threshold=0.5, verify="join")
+    monkeypatch.setattr(dedup, "JOIN_VERIFY_ABOVE", 10**9)
+    a = minhash_neardup_pairs(dup_docs_ds, threshold=0.5)
+    monkeypatch.setattr(dedup, "JOIN_VERIFY_ABOVE", -1)
+    b = minhash_neardup_pairs(dup_docs_ds, threshold=0.5)
     pd.testing.assert_frame_equal(
         a.reset_index(drop=True), b.reset_index(drop=True))
 
@@ -492,16 +495,18 @@ def test_jaccard_max_posting_prunes_hot_grams(dup_docs_ds):
         assert v <= ex[k] + 1e-12
 
 
-def test_embedding_neardup_blocked_recall(ray_session):
+def test_embedding_neardup_blocked_recall(ray_session, monkeypatch):
     """The blocked (LSH-bucketed) threshold self-join returns a subset
     of the exact pair set with high recall at a high threshold."""
     import ray.data as rd
 
+    from pdf_to_text_ray.stages import similarity
     from pdf_to_text_ray.stages.similarity import (
         embedding_neardup_pairs, embedding_neardup_pairs_blocked)
 
     ds = rd.read_parquet(f"{SF}/embeddings.parquet")
-    exact = embedding_neardup_pairs(ds, threshold=0.45, method="exact")
+    monkeypatch.setattr(similarity, "EXACT_MAX_ROWS", 10**9)
+    exact = embedding_neardup_pairs(ds, threshold=0.45)
     blocked = embedding_neardup_pairs_blocked(ds, threshold=0.45,
                                               n_bits=4, n_tables=8)
     ex = set(map(tuple, exact[["id_a", "id_b"]].values))
