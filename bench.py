@@ -158,7 +158,7 @@ def run_bench() -> dict:
         "events_lsm_compact",
         "host_mirror_similarity",
         # slow tier: the slowest of the full 263-query sf0.1 survey
-        # (tools/time_queries.py, round-16 re-run) minus keys already
+        # (round-16 per-query timing re-run) minus keys already
         # pinned above — regressions in the non-extract tier show up
         # here at 10x the correctness-gate scale. Kept keys that
         # dropped out of the top-20 (bigram_pmi_top, sssp) so their

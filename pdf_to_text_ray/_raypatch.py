@@ -1,20 +1,22 @@
-"""Normalize empty-block schemas at the executor's exchange boundary.
+"""Let Ray's zero-column empty partitions adopt their operator's schema.
 
-Ray's sort-based ``groupby().aggregate`` / ``map_groups`` emit
-ZERO-COLUMN empty blocks for reduce partitions that received no rows
-(keys < output partitions — routine for small key domains and for
-bucketed exchanges at low scale). Those blocks pass THROUGH downstream
-map operators without invoking the UDF, so no repo-side stage function
-can ever re-schema them, and every operator they cross logs
+Ray's sort-based exchanges (``groupby().aggregate`` / ``map_groups``,
+which ``groups.cogroup`` and ``bucketed_group_apply`` run on) return
+``ArrowBlockAccessor._empty_table()`` — a block with NO columns —
+for every reduce partition that receives no rows. That happens
+routinely: the sort boundaries are sampled quantiles that Ray never
+de-duplicates, so a small key domain leaves some partitions empty.
+Map UDFs never see empty blocks (Ray skips the call), so no program
+code can re-schema them, and every operator they cross would log
 
     "Operator produced a RefBundle with a different schema than the
     previous one. ... new schema: ()"
 
-once per run — noise that buries real schema divergences (which this
-repo treats as bugs: see stages/groups.arrow_out's homogeneity notes).
-
-This module wraps ``dedupe_schemas_with_validation`` (the single choke
-point where the executor reconciles bundle schemas,
+This is the one schema change the program cannot prevent; its own
+exchanges emit one schema each (``cogroup`` packs every side into one
+``{_bucket, _side, _ipc}`` row format). The shim wraps
+``dedupe_schemas_with_validation`` (the single choke point where the
+executor reconciles bundle schemas,
 ``ray/data/_internal/execution/streaming_executor_state.py``) so that
 a ROWLESS bundle whose schema is empty ADOPTS the operator's declared
 schema instead of diverging from it. Semantics are unchanged — the
@@ -23,6 +25,7 @@ skip the false-positive warning and mark the bundle non-diverged.
 Genuine divergences (non-empty mismatched schemas, or empty-schema
 bundles that somehow carry rows) still warn exactly as before.
 
+Deleting the shim waits on Ray emitting typed empty partitions.
 Version-pinned to the vendored ray 2.49 internals; any import/attr
 mismatch degrades to a no-op (warnings return, nothing breaks).
 """

@@ -1117,11 +1117,7 @@ def join_orders_lineitem(sf_dir: str):
                             "o_orderpriority": t["o_orderpriority"]}),
         batch_format="pyarrow",
     )
-    out = bucketed_hash_join(li, orders, on="orderkey")
-    return out.map_batches(
-        lambda b: b.astype({"orderkey": "int64", "l_linenumber": "int64"}),
-        batch_format="pandas",
-    )
+    return bucketed_hash_join(li, orders, on="orderkey")
 
 
 JOIN_ORDERS_LINEITEM_SQL = """
@@ -1145,19 +1141,16 @@ def asof_prev_view(sf_dir: str):
     )
     right = ev.map_batches(
         lambda t: t.filter(pc.equal(t["event_type"], "view")).select(
-            ["event_id", "user_id", "ts"]),
+            ["event_id", "user_id", "ts"]).rename_columns(
+            ["prev_event_id", "user_id", "ts"]),
         batch_format="pyarrow",
-    ).map_batches(
-        lambda b: b.rename(columns={"event_id": "prev_event_id"}),
-        batch_format="pandas",
     )
     out = asof_join(left, right, key="user_id", left_ts="ts", right_ts="ts",
                     value_cols=["prev_event_id"])
     return out.map_batches(
-        lambda b: b.dropna(subset=["prev_event_id"]).astype(
-            {"event_id": "int64", "user_id": "int64", "prev_event_id": "int64"}
-        )[["event_id", "user_id", "prev_event_id"]],
-        batch_format="pandas",
+        lambda t: t.filter(pc.is_valid(t["prev_event_id"])).select(
+            ["event_id", "user_id", "prev_event_id"]),
+        batch_format="pyarrow",
     )
 
 
@@ -2315,15 +2308,22 @@ def block_quality(sf_dir: str):
     text = rd.read_parquet(_ensure_extracted(sf_dir),
                            columns=["url", "text_extracted"])
     blocks = text.map_batches(segment_batch, batch_format="pyarrow")
-    # a url's records come from its own row, so per-batch partials are
-    # nearly complete and no exchange is needed
-    sums = grouped_partials(
-        blocks, ["url", "block_idx"], sums=["sum_importe"],
-        prep=lambda t: records_batch(t).select(
-            ["url", "block_idx", "importe"]).rename_columns(
-            ["url", "block_idx", "sum_importe"]))
-    totals = blocks.select_columns(["url", "block_idx", "block_total"]).to_pandas()
-    out = totals.merge(sums, on=["url", "block_idx"], how="left")
+
+    def with_sums(b: pa.Table) -> pa.Table:
+        # each block row with the importe sum of its records (null for
+        # none); a block's records come from its own row, so one batch
+        # holds all of them and no exchange is needed
+        sums = records_batch(b).group_by(
+            ["url", "block_idx"], use_threads=False).aggregate(
+            [("importe", "sum")])
+        return b.select(["url", "block_idx", "block_total"]).join(
+            sums, ["url", "block_idx"], join_type="left outer")
+
+    # one pass: the block total rides along as a key (one value per
+    # block)
+    out = grouped_partials(blocks, ["url", "block_idx", "block_total"],
+                           sums=["importe_sum"], prep=with_sums)
+    out = out.rename(columns={"importe_sum": "sum_importe"})
     out["sum_importe"] = round2(out["sum_importe"].fillna(0.0))
     out["total_matches"] = (
         np.isfinite(out["block_total"])
@@ -3398,9 +3398,7 @@ def q5_local_supplier_volume(sf_dir: str):
             .rename_columns(["o_orderkey", "c_custkey"])),
         batch_format="pyarrow")
     cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"])
-    o_c = bucketed_hash_join(orders, cust, on="c_custkey",
-                             left_cols=["o_orderkey"],
-                             right_cols=["c_nationkey"])
+    o_c = bucketed_hash_join(orders, cust, on="c_custkey")
 
     li = _lineitem(sf_dir, ["l_orderkey", "l_suppkey", "l_extendedprice",
                             "l_discount"]).map_batches(
@@ -3410,9 +3408,7 @@ def q5_local_supplier_volume(sf_dir: str):
     joined = bucketed_hash_join(
         li, o_c.map_batches(lambda t: t.select(["o_orderkey", "c_nationkey"]),
                             batch_format="pyarrow"),
-        on="o_orderkey",
-        left_cols=["l_suppkey", "l_extendedprice", "l_discount"],
-        right_cols=["c_nationkey"])
+        on="o_orderkey")
 
     def revenue_partial(t: pa.Table):
         b = t.to_pandas()
@@ -3644,8 +3640,7 @@ def q10_returned_revenue(sf_dir: str):
     li = _lineitem(sf_dir, ["l_orderkey", "l_returnflag",
                             "l_extendedprice", "l_discount"]
                    ).map_batches(returned_rev, batch_format="pyarrow")
-    joined = bucketed_hash_join(li, orders, on="o_orderkey",
-                                left_cols=["rev"], right_cols=["o_custkey"])
+    joined = bucketed_hash_join(li, orders, on="o_orderkey")
 
     def partial(t: pa.Table):
         b = t.to_pandas()
@@ -4282,9 +4277,7 @@ def q4_order_priority(sf_dir: str):
         batch_format="pyarrow")
 
     joined = bucketed_hash_join(
-        maxship, orders, on="o_orderkey",
-        left_cols=["ship_ns"],
-        right_cols=["o_orderdate", "o_orderpriority"])
+        maxship, orders, on="o_orderkey")
 
     def late(t: pa.Table) -> pa.Table:
         b = t.to_pandas()
@@ -4695,9 +4688,7 @@ def q7_nation_volume(sf_dir: str):
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"]).map_batches(
         lambda t: t.rename_columns(["o_orderkey", "c_custkey"]),
         batch_format="pyarrow")
-    o_c = bucketed_hash_join(orders, cust, on="c_custkey",
-                             left_cols=["o_orderkey"],
-                             right_cols=["c_nationkey"])
+    o_c = bucketed_hash_join(orders, cust, on="c_custkey")
 
     lo, hi = pd.Timestamp("1996-01-01"), pd.Timestamp("1998-01-01")
     li = _lineitem(sf_dir, ["l_orderkey", "l_suppkey", "l_shipdate",
@@ -4711,10 +4702,7 @@ def q7_nation_volume(sf_dir: str):
     joined = bucketed_hash_join(
         li, o_c.map_batches(lambda t: t.select(["o_orderkey", "c_nationkey"]),
                             batch_format="pyarrow"),
-        on="o_orderkey",
-        left_cols=["l_suppkey", "l_shipdate", "l_extendedprice",
-                   "l_discount"],
-        right_cols=["c_nationkey"])
+        on="o_orderkey")
 
     def volume_partial(t: pa.Table) -> pa.Table:
         b = t.to_pandas()
@@ -4998,8 +4986,6 @@ def skew_join_user_events(sf_dir: str):
         sample_rows=5000, hot_share=0.005,
     ).to_pandas()
     out["purchase_total"] = round2(out["purchase_total"])
-    for c in ("event_id", "user_id"):
-        out[c] = out[c].astype("int64")
     return (out[["event_id", "user_id", "value", "purchase_total"]]
             .sort_values("event_id").reset_index(drop=True))
 
@@ -5557,9 +5543,7 @@ def q8_market_share(sf_dir: str):
                    ["o_orderkey", "o_custkey", "o_orderdate"]
                    ).map_batches(orders_prep, batch_format="pyarrow")
     cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"])
-    o_c = bucketed_hash_join(orders, cust, on="c_custkey",
-                             left_cols=["o_orderkey", "o_year"],
-                             right_cols=["c_nationkey"])
+    o_c = bucketed_hash_join(orders, cust, on="c_custkey")
     o_c = o_c.map_batches(
         lambda t: t.filter(pc.is_in(
             t["c_nationkey"],
@@ -5573,10 +5557,7 @@ def q8_market_share(sf_dir: str):
                                     "l_extendedprice", "l_discount"]),
         batch_format="pyarrow")
     joined = bucketed_hash_join(
-        li, o_c, on="o_orderkey",
-        left_cols=["l_partkey", "l_suppkey", "l_extendedprice",
-                   "l_discount"],
-        right_cols=["o_year"])
+        li, o_c, on="o_orderkey")
 
     def share_partial(t: pa.Table) -> pa.Table:
         keys, sk, sn = ray.get(bref)
@@ -5921,9 +5902,7 @@ def customer_supplier_pagerank(sf_dir: str):
         lambda t: t.rename_columns(["o_orderkey", "l_suppkey"]),
         batch_format="pyarrow")
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
-    j = bucketed_hash_join(li, orders, on="o_orderkey",
-                           left_cols=["l_suppkey"],
-                           right_cols=["o_custkey"])
+    j = bucketed_hash_join(li, orders, on="o_orderkey")
     # distinct via one bucketed exchange + vectorized drop_duplicates
     # (Ray's sort aggregate walks the ~|pairs| one-row groups at
     # Python speed)
@@ -7493,10 +7472,7 @@ def q9_profit_by_nation_year(sf_dir: str):
         pre, batch_format="pyarrow")
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderdate"])
     joined = bucketed_hash_join(
-        li, orders, on="o_orderkey",
-        left_cols=["l_partkey", "l_suppkey", "l_quantity",
-                   "l_extendedprice", "l_discount"],
-        right_cols=["o_orderdate"])
+        li, orders, on="o_orderkey")
 
     def profit_partial(t: pa.Table) -> pa.Table:
         b = t.to_pandas()
@@ -7615,9 +7591,7 @@ def q12_late_shipment_priority(sf_dir: str):
     orders = _read(sf_dir, "orders",
                    ["o_orderkey", "o_orderdate", "o_orderpriority"])
     joined = bucketed_hash_join(
-        li, orders, on="o_orderkey",
-        left_cols=["l_returnflag", "l_shipdate"],
-        right_cols=["o_orderdate", "o_orderpriority"])
+        li, orders, on="o_orderkey")
 
     def late_partial(t: pa.Table) -> pa.Table:
         b = t.to_pandas()
@@ -7794,9 +7768,7 @@ def q21_waiting_suppliers(sf_dir: str):
         .select(["o_orderkey", "o_orderdate"]),
         batch_format="pyarrow")
     joined = bucketed_hash_join(
-        li, orders, on="o_orderkey",
-        left_cols=["l_suppkey", "l_shipdate"],
-        right_cols=["o_orderdate"])
+        li, orders, on="o_orderkey")
 
     def per_bucket(df: pd.DataFrame) -> pd.DataFrame:
         late = df["l_shipdate"] > df["o_orderdate"] + pd.Timedelta(days=60)
@@ -9197,7 +9169,6 @@ def merge_into_events(sf_dir: str):
     base = ev.map_batches(mk_base, batch_format="pyarrow")
     chg = ev.map_batches(mk_chg, batch_format="pyarrow")
     out = merge_into(base, chg, key="event_id").to_pandas()
-    out["event_id"] = out["event_id"].astype("int64")
     return out.sort_values("event_id").reset_index(drop=True)
 
 
@@ -9801,8 +9772,6 @@ def asof_next_purchase(sf_dir: str):
         value_cols=["next_value"], direction="forward",
         tolerance=pd.Timedelta(hours=24),
     ).to_pandas()
-    out["event_id"] = out["event_id"].astype("int64")
-    out["next_value"] = out["next_value"].astype("float64")
     return (out[["event_id", "next_value"]]
             .sort_values("event_id").reset_index(drop=True))
 

@@ -9,10 +9,10 @@ generalize to at row granularity:
     WHEN NOT MATCHED AND op = insert_op -> INSERT
     (unmatched update/delete and matched insert are no-ops)
 
-One all-to-all on hash(key) — both sides are tagged and bucketed in a
-single union exchange (the ``bucketed_hash_join`` pattern), then each
-bucket resolves its keys with vectorized pandas. Nothing but the two
-tables' projected columns rides the shuffle, and no side is ever
+One all-to-all on hash(key): ``groups.cogroup`` co-locates both
+sides' rows of each bucket, Arrow types intact, and each bucket
+resolves its keys with vectorized membership tests. Nothing but the
+two tables' projected columns rides the shuffle, and no side is ever
 materialized whole on one node, so the operator holds at corpus scale
 as long as the per-bucket slice fits a worker (raise ``num_buckets``
 with data volume; buckets are independent).
@@ -21,66 +21,44 @@ Preconditions (mirroring SQL MERGE):
 - at most ONE change row per key (SQL MERGE raises "multiple rows
   matched"; this raises too rather than picking silently);
 - ``changes`` carries every ``base`` column plus ``op_col`` (delete
-  rows may carry nulls in the non-key columns). Matching column sets
-  keep the union NaN-pad from coercing integer columns.
+  rows may carry nulls in the non-key columns); updated and inserted
+  rows are cast to ``base``'s types.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
-from .groups import arrow_out, stable_bucket
+from .groups import cogroup
 
 
 def merge_into(base, changes, *, key: str, op_col: str = "op",
                insert_op: str = "I", update_op: str = "U",
                delete_op: str = "D", num_buckets: int = 32):
     """Apply ``changes`` (rows tagged with ``op_col``) to ``base`` by
-    ``key``; returns the merged Dataset with ``base``'s columns."""
+    ``key``; returns the merged Dataset with ``base``'s columns and
+    types."""
 
-    def tag(side: str):
-        def fn(t: pa.Table) -> pa.Table:
-            # schema-align the two union sides: base gains a null op
-            # column and both emit name-sorted columns, so the fused
-            # union's bundles share ONE schema (a mismatched union
-            # trips Ray's per-operator schema-change warning and
-            # defeats its schema-dedup fast path)
-            if side == "b" and op_col not in t.column_names:
-                t = t.append_column(
-                    op_col, pa.nulls(t.num_rows, pa.string()))
-            t = t.select(sorted(t.column_names))
-            h = stable_bucket(t[key].to_numpy(zero_copy_only=False),
-                              num_buckets)
-            t = t.append_column("_bucket", pa.array(h, pa.int64()))
-            return t.append_column(
-                "_side", pa.array([side] * t.num_rows, pa.string()))
-        return fn
-
-    both = base.map_batches(tag("b"), batch_format="pyarrow").union(
-        changes.map_batches(tag("c"), batch_format="pyarrow"))
-
-    def apply_bucket(t: pa.Table) -> pa.Table:
-        g = t.to_pandas()
-        drop_aux = ["_bucket", "_side"]
-        b = g.loc[g["_side"] == "b"].drop(columns=drop_aux + [op_col],
-                                          errors="ignore")
-        c = g.loc[g["_side"] == "c"].drop(columns=drop_aux)
-        if c[key].duplicated().any():
-            dup = c.loc[c[key].duplicated(), key].iloc[0]
+    def apply_bucket(b: pa.Table | None, c: pa.Table | None):
+        if c is None:
+            return b
+        if b is None:
+            b = c.drop_columns([op_col]).schema.empty_table()
+        ck = c[key].to_pandas()
+        if ck.duplicated().any():
             raise ValueError(
-                f"merge_into: multiple change rows for key {dup!r} "
+                f"merge_into: multiple change rows for key "
+                f"{ck[ck.duplicated()].iloc[0]!r} "
                 "(SQL MERGE 'multiple rows matched' condition)")
-        matched = c[key].isin(b[key]).to_numpy()
-        ops = c[op_col].to_numpy()
-        upd = c.loc[matched & (ops == update_op)].drop(columns=[op_col])
-        ins = c.loc[~matched & (ops == insert_op)].drop(columns=[op_col])
-        gone = c.loc[matched & np.isin(ops, [update_op, delete_op]), key]
-        kept = b.loc[~b[key].isin(gone)]
-        out = pd.concat([kept, upd[kept.columns], ins[kept.columns]],
-                        ignore_index=True)
-        return arrow_out(out)
+        matched = ck.isin(b[key].to_pandas()).to_numpy()
+        ops = c[op_col].to_numpy(zero_copy_only=False)
+        gone = ck[matched & np.isin(ops, [update_op, delete_op])]
+        kept = b.filter(pa.array(~b[key].to_pandas().isin(gone).to_numpy()))
+        new = c.filter(pa.array((matched & (ops == update_op))
+                                | (~matched & (ops == insert_op))))
+        return pa.concat_tables(
+            [kept, new.select(b.column_names).cast(b.schema)])
 
-    return both.groupby("_bucket").map_groups(apply_bucket,
-                                              batch_format="pyarrow")
+    return cogroup([(base, key), (changes, key)], apply_bucket,
+                   num_buckets=num_buckets)

@@ -31,7 +31,6 @@ import hashlib
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import pyarrow.compute as pc
 
 from .analysis import kgram_hashes
 from .joins import bucketed_hash_join, probe_sorted
@@ -226,11 +225,14 @@ def minhash_neardup_pairs(ds, *, key_col: str = "doc_id", text_col: str = "text"
         # batch_size: minlabel_components pays tasks per pair-set block
         # in every propagation round (training_corpus_pipeline at
         # sf0.1, 4 vCPU: components 6.1 s on 18 blocks, 2.2 s on 4).
+        # The coalescing map runs behind a materialize(): fused into
+        # the join, its batch_size would bundle the exchange's packed
+        # rows (a few per bucket) and run the whole join as one task.
         # Pinned for the same reason as cand: minlabel_components
         # consumes the pair set twice (vocab pass + factorize pass)
         return _verify_pairs_join(
             ds, cand, key_col, text_col, k, threshold,
-            id_arr=id_arr, as_dataset=True).map_batches(
+            id_arr=id_arr, as_dataset=True).materialize().map_batches(
                 lambda t: t, batch_format="pyarrow",
                 batch_size=32768).materialize()
 
@@ -345,16 +347,8 @@ def _verify_pairs_join(ds, cand, key_col: str, text_col: str,
     sh_a = sh.map_batches(renamed(["id_a", "sh_a"]), batch_format="pyarrow")
     sh_b = sh.map_batches(renamed(["id_b", "sh_b"]), batch_format="pyarrow")
     pairs_ds = cand if not isinstance(cand, pd.DataFrame) else rd.from_pandas(cand)
-    id_t = pa.int64() if id_arr.dtype.kind in "iu" else pa.string()
-    j1 = bucketed_hash_join(pairs_ds, sh_a, on="id_a",
-                            num_buckets=num_buckets,
-                            pad_schemas=({"id_b": id_t},
-                                         {"sh_a": pa.binary()}))
-    j2 = bucketed_hash_join(j1, sh_b, on="id_b",
-                            num_buckets=num_buckets,
-                            pad_schemas=({"id_a": id_t,
-                                          "sh_a": pa.binary()},
-                                         {"sh_b": pa.binary()}))
+    j1 = bucketed_hash_join(pairs_ds, sh_a, on="id_a", num_buckets=num_buckets)
+    j2 = bucketed_hash_join(j1, sh_b, on="id_b", num_buckets=num_buckets)
 
     def score(t: pa.Table) -> pa.Table:
         sims = np.array([
@@ -664,14 +658,8 @@ def minlabel_components(pairs, *, num_buckets: int = 16,
             batch_format="pyarrow")
         cand = bucketed_hash_join(
             edges, lab_src, on="src", num_buckets=num_buckets,
-            # edges/labels are int64 post-factorization; declaring the
-            # sides keeps the fused union on ONE schema (no per-round
-            # schema-change warnings, schema-dedup fast path intact)
-            pad_schemas=({"dst": pa.int64()}, {"label": pa.int64()}),
         ).map_batches(
-            lambda t: pa.table({
-                "node": pc.cast(t["dst"], pa.int64()),
-                "label": pc.cast(t["label"], pa.int64())}),
+            lambda t: pa.table({"node": t["dst"], "label": t["label"]}),
             batch_format="pyarrow")
         # vectorized per-bucket grouped min, NOT groupby().aggregate:
         # node is every-vertex cardinality, and Ray's sort aggregate

@@ -119,9 +119,89 @@ def grouped_partials(ds, keys, *, sums=(), mins=(), maxes=(),
 
 def stable_bucket(values: pd.Series | np.ndarray, num_buckets: int) -> np.ndarray:
     arr = values.to_numpy() if isinstance(values, pd.Series) else values
-    if arr.dtype.kind not in "iu":
-        arr = np.asarray(arr, dtype=object)
+    # one hash per integer value whatever its width, so an int32 key
+    # meets its int64 equal; other types hash as Python objects
+    arr = arr.astype(np.int64) if arr.dtype.kind in "iu" \
+        else np.asarray(arr, dtype=object)
     return (pd.util.hash_array(arr) % num_buckets).astype("int64")
+
+
+def cogroup(sides, fn, *, num_buckets: int):
+    """The one two-sided exchange: route the rows of every dataset in
+    ``sides`` to buckets, shuffle once, and call ``fn`` once per bucket
+    with each side's rows of that bucket.
+
+    ``sides`` lists ``(ds, by)`` pairs. ``by`` is a key column, hashed
+    by ``stable_bucket``, or a function ``t -> (rows, buckets)`` that
+    returns the rows to ship (a projection of ``t``, or rows repeated
+    into several buckets) and each row's bucket in ``[0, num_buckets)``.
+
+    Each side's map emits one row per bucket of its batch, empty
+    buckets included: ``{_bucket: int64, _side: int8, _ipc:
+    large_binary}``, where ``_ipc`` holds that bucket's rows as an
+    Arrow IPC stream. All of a batch's streams go to one sink, framed
+    by one offsets buffer. So the union has one schema by
+    construction, the sort moves ``batches × buckets`` rows, and every
+    bucket holds the schema of every side that has rows anywhere.
+
+    ``fn(*tables)`` gets one table per side, in ``sides`` order, with
+    the side's exact Arrow types: nothing passes through pandas or a
+    null-padded union. A side that sent no batch at all gets ``None``:
+    Ray calls no map on an empty block, so a side whose rows were all
+    filtered away ships nothing, not even its schema. ``fn`` returns
+    an Arrow table."""
+    def pack(side: int, by):
+        def fn_pack(t: pa.Table) -> pa.Table:
+            t = _meta_free(t)
+            if isinstance(by, str):
+                b = stable_bucket(t[by].to_numpy(zero_copy_only=False),
+                                  num_buckets)
+            else:
+                t, b = by(t)
+            # one chunk per column, or every take below concatenates
+            # the chunks again (a no-op when already one chunk)
+            t = t.combine_chunks()
+            order = np.argsort(b, kind="stable")
+            ends = np.cumsum(np.bincount(b, minlength=num_buckets))
+            sink = pa.BufferOutputStream()
+            offsets = np.zeros(num_buckets + 1, np.int64)
+            start = 0
+            for i, end in enumerate(ends):
+                # gather one bucket at a time: its rows are copied once
+                # into a small reused buffer, not into a sorted copy of
+                # the whole batch first
+                with pa.ipc.new_stream(sink, t.schema) as w:
+                    w.write_table(t.take(order[start:end]))
+                offsets[i + 1] = sink.tell()
+                start = end
+            ipc = pa.Array.from_buffers(
+                pa.large_binary(), num_buckets,
+                [None, pa.py_buffer(offsets), sink.getvalue()])
+            return pa.table({
+                "_bucket": pa.array(np.arange(num_buckets), pa.int64()),
+                "_side": pa.array(np.full(num_buckets, side, np.int8)),
+                "_ipc": ipc})
+        return fn_pack
+
+    def run_bucket(g: pa.Table):
+        parts = [[] for _ in sides]
+        side_of = iter(g["_side"].to_numpy())
+        for chunk in g["_ipc"].chunks:
+            _, offs, data = chunk.buffers()
+            offs = np.frombuffer(offs, np.int64)[
+                chunk.offset:chunk.offset + len(chunk) + 1]
+            for lo, hi in zip(offs[:-1], offs[1:]):
+                parts[next(side_of)].append(
+                    pa.ipc.open_stream(data.slice(lo, hi - lo)).read_all())
+        # zero-copy; the promotion only reconciles a side whose batches
+        # differ in type (a null-typed column of an all-null batch)
+        return fn(*(pa.concat_tables(ts, promote_options="permissive")
+                    if ts else None for ts in parts))
+
+    packed = [ds.map_batches(pack(i, by), batch_format="pyarrow")
+              for i, (ds, by) in enumerate(sides)]
+    return (packed[0].union(*packed[1:]).groupby("_bucket")
+            .map_groups(run_bucket, batch_format="pyarrow"))
 
 
 def bucketed_group_apply(ds, keys: list[str] | str, per_bucket_fn,

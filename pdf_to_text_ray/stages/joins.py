@@ -1,24 +1,35 @@
 """Join strategies for Ray Data (SURVEY.md §2.4).
 
-Ray 2.49 has no stable ``Dataset.join``; these are the portable
-patterns (documented in the public Ray Data guidance):
+Ray 2.49 has no stable ``Dataset.join``. A join of two large sides
+runs on ONE exchange, ``groups.cogroup``: each side's map routes its
+rows to buckets and ships every bucket's slice as an Arrow IPC stream
+in one row ``{_bucket: int64, _side: int8, _ipc: large_binary}``, the
+union of the sides sorts on ``_bucket`` (``batches × buckets`` rows,
+one schema), and one function per bucket gets each side back as an
+Arrow table with its exact column types. Every operator below that
+co-locates two datasets is a routing rule plus that function:
 
-- ``probe_sorted``: the one membership probe of a small sorted key
-  set (a broadcast semi-join, a keyed lookup). Every caller tests
-  membership through it and reads key-aligned values only under its
-  ``hit`` mask, so an empty key set is safe everywhere.
-- ``broadcast_join``: small side via ``ray.put`` + per-batch pandas
-  merge. No shuffle. (Used by queries.join_customer_orders.)
-- ``bucketed_hash_join``: both sides large — add
-  ``bucket = stable_hash(key) % B`` to both sides, union them with a
-  side tag, shuffle once on the bucket, then one vectorized pandas
-  merge per bucket. Blocks are Arrow on both sides of the exchange,
-  blob columns included: one block type per dataset is what Ray's
-  exchanges assume. Partitioning assumption: every key's rows fit in
-  one bucket's memory; salt hot keys into sub-buckets if not.
-- ``asof_join``: per-key ordered backward join (latest right row with
-  ts ≤ left ts) — bucket by key, ``pd.merge_asof`` per bucket over
-  key-sorted frames.
+- ``bucketed_hash_join``: both sides hash on the key; per bucket a
+  pandas merge of the key columns yields row indices, and the output
+  ``take``s every other column from the Arrow sides, so payload
+  columns (blobs included) never pass through pandas and integers
+  are never coerced to float.
+- ``asof_join``: hash on the key, ``pd.merge_asof`` per bucket over
+  ts-sorted index frames.
+- ``temporal_band_count`` / ``interval_count_join``: range joins. The
+  time axis splits into fixed-width time buckets that map onto the
+  exchange buckets modulo their count; probes repeat into every time
+  bucket they overlap and count that time bucket's points only.
+- ``snapshot_diff`` (and ``cdc.merge_into``): hash on the key, one
+  outer comparison per bucket.
+
+Partitioning assumption: every key's rows fit in one bucket's memory;
+salt hot keys (``skew_join``) if not. The other shapes need no
+exchange: ``probe_sorted`` is the one membership probe of a small
+sorted key set (every caller reads key-aligned values only under its
+``hit`` mask, so an empty key set is safe everywhere), and
+``broadcast_join`` ships a small side via ``ray.put`` to a per-batch
+merge.
 """
 
 from __future__ import annotations
@@ -28,7 +39,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .groups import arrow_out
+from .groups import arrow_out, cogroup, stable_bucket
 
 
 def probe_sorted(keys: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -46,127 +57,68 @@ def probe_sorted(keys: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return keys[idx] == x, idx
 
 
+def _take_idx(s: pd.Series) -> pa.Array:
+    """Merge output row positions → Arrow ``take`` indices (NaN, from
+    a side an outer merge left unmatched, becomes null)."""
+    return pa.array(s.to_numpy(), from_pandas=True).cast(pa.int64())
+
+
+def _absent(like: pa.Table, keys: list[str], cols) -> pa.Table:
+    """Zero-row stand-in for a side that shipped nothing: ``keys``
+    typed as in ``like`` (the present side), ``cols`` as null columns."""
+    return pa.table([pa.array([], like.schema.field(k).type) for k in keys]
+                    + [pa.nulls(0) for _ in cols or ()],
+                    names=list(keys) + list(cols or ()))
+
+
 def bucketed_hash_join(left, right, on: str, *, num_buckets: int = 32,
                        suffixes: tuple[str, str] = ("_l", "_r"),
                        how: str = "inner",
                        left_cols: list[str] | None = None,
-                       right_cols: list[str] | None = None,
-                       pad_schemas: tuple[dict, dict] | None = None):
-    """Explicit partitioned hash join of two Datasets on one key column.
+                       right_cols: list[str] | None = None):
+    """Partitioned hash join of two Datasets on one key column: one
+    ``cogroup`` exchange, then per bucket a pandas merge of the key
+    columns alone, whose row positions ``take`` the other columns from
+    the Arrow sides. Output columns: the key, the left side's other
+    columns, then the right side's, each with its input's Arrow type;
+    names both sides carry get ``suffixes``.
 
-    One all-to-all (the bucket groupby over the union); the per-bucket
-    merge is vectorized pandas. Column name collisions get suffixes.
+    ``left_cols``/``right_cols`` name a side's non-key columns for the
+    one case where that side ships no rows at all (every row filtered
+    away): a left or outer join then still emits them, as null
+    columns. Inner joins need neither."""
 
-    ``left_cols``/``right_cols``: each side's non-key column names. The
-    per-bucket schema is otherwise inferred from the rows present —
-    a bucket that happens to contain only one side would drop the other
-    side's columns under outer joins. Pass them for non-inner joins.
+    def join_bucket(lt: pa.Table | None, rt: pa.Table | None):
+        lt = _absent(rt, [on], left_cols) if lt is None else lt
+        rt = _absent(lt, [on], right_cols) if rt is None else rt
+        m = pd.DataFrame({on: lt[on].to_pandas(),
+                          "_li": np.arange(lt.num_rows)}).merge(
+            pd.DataFrame({on: rt[on].to_pandas(),
+                          "_ri": np.arange(rt.num_rows)}),
+            on=on, how=how)
+        lnames = [c for c in lt.column_names if c != on]
+        rnames = [c for c in rt.column_names if c != on]
+        both = set(lnames) & set(rnames)
+        li = m["_li"].to_numpy()
+        if len(li) == lt.num_rows and (li == np.arange(len(li))).all():
+            # every left row once, in order (the fact ⋈ dimension case):
+            # the left columns pass through uncopied
+            lpart = lt.select([on] + lnames)
+        else:
+            lpart = lt.select([on] + lnames).take(_take_idx(m["_li"]))
+        ri = _take_idx(m["_ri"])
+        key = lpart[on]
+        if how in ("right", "outer"):
+            key = pc.coalesce(key, rt[on].take(ri).cast(key.type))
+        rpart = rt.select(rnames).take(ri)
+        return pa.table(
+            [key] + lpart.columns[1:] + rpart.columns,
+            names=[on] + [c + suffixes[0] if c in both else c
+                          for c in lnames]
+            + [c + suffixes[1] if c in both else c for c in rnames])
 
-    ``pad_schemas``: optional ``(left_non_key, right_non_key)`` dicts
-    of column name → pyarrow DataType, declaring each side's non-key
-    columns. When given, each side's tag map pads the OTHER side's
-    columns with typed nulls and emits a canonical column order, so
-    the union's bundles all share ONE schema — without this, a fused
-    union whose sides interleave trips Ray's per-operator
-    schema-change warning once per side transition (noisy inside
-    iterative callers like min-label propagation) and defeats its
-    schema-dedup fast path. Statically-known schemas only — passing
-    types that disagree with the data keeps the join correct but
-    brings the warning back."""
-
-    # The union NaN-pads each side's tagged columns into the other
-    # side's blocks, which COERCES integer columns to float64 — and a
-    # float64 key hashes differently from the int64 it came from, so a
-    # CHAINED bucketed join on this output would silently lose rows
-    # (found via TPC-H Q5's orders⋈customer → ⋈lineitem chain).
-    # Integerness is recorded IN the tag prefix ("l::i::x" vs
-    # "l::o::x") by the per-batch tag maps themselves — calling
-    # ds.schema() here would EXECUTE a lazy upstream plan just to read
-    # dtypes (measured: a chained join re-ran its 4 s left-side plan as
-    # a limit-1 schema probe before running it again for real).
-
-    # Side membership is carried explicitly via column PREFIXES (not
-    # inferred from all-null columns post-union, which silently drops a
-    # genuine column whose values happen to be all null in a bucket):
-    # each side's non-key columns are renamed "l::i::x" / "l::o::x"
-    # (i = integer dtype, to restore after the NaN-pad coercion) before
-    # the union and stripped after the per-bucket merge.
-    # Arrow-native, pyarrow-DECLARED tag maps: the declared format of
-    # the map fused into the bucket exchange decides the exchange's
-    # block type — pandas-declared maps force the sort onto the pandas
-    # slow path (~5x, see groups.arrow_out) and make Ray emit empty
-    # pandas partitions that break block-type homogeneity.
-    def _tagged_name(side: str, c: str, typ) -> str:
-        return f"{side}::{'i' if pa.types.is_integer(typ) else 'o'}::{c}"
-
-    if pad_schemas is not None:
-        # canonical union schema: key, then both sides' tagged columns
-        # name-sorted, each present in EVERY block (own values or
-        # typed nulls)
-        pad_cols = []
-        for s, sch in (("l", pad_schemas[0]), ("r", pad_schemas[1])):
-            pad_cols += [(s, c, t) for c, t in sorted(sch.items())]
-
-    def tag(side: str):
-        def fn(t: pa.Table) -> pa.Table:
-            if pad_schemas is None:
-                t = t.rename_columns(
-                    [c if c == on else
-                     _tagged_name(side, c, t.schema.field(c).type)
-                     for c in t.column_names])
-            else:
-                cols = [t[on]]
-                names = [on]
-                for s, c, typ in pad_cols:
-                    cols.append(t[c] if s == side
-                                else pa.nulls(t.num_rows, typ))
-                    names.append(_tagged_name(s, c, typ))
-                t = pa.table(dict(zip(names, cols)))
-            h = (pd.util.hash_array(t[on].to_numpy(zero_copy_only=False))
-                 % num_buckets).astype("int64")
-            t = t.append_column("_bucket", pa.array(h, pa.int64()))
-            return t.append_column(
-                "_side", pa.array([side] * t.num_rows, pa.string()))
-
-        return fn
-
-    both = left.map_batches(tag("l"), batch_format="pyarrow").union(
-        right.map_batches(tag("r"), batch_format="pyarrow")
-    )
-
-    def join_bucket(t: pa.Table) -> pa.Table:
-        # pyarrow batch_format: see groups.bucketed_group_apply
-        g = t.to_pandas()
-        lcols = [c for c in g.columns if c.startswith("l::")]
-        rcols = [c for c in g.columns if c.startswith("r::")]
-        restore = {c[6:]: "int64" for c in g.columns
-                   if c.startswith(("l::i::", "r::i::"))}
-        lg = g.loc[g["_side"] == "l", [on] + lcols].rename(
-            columns={c: c[6:] for c in lcols})
-        rg = g.loc[g["_side"] == "r", [on] + rcols].rename(
-            columns={c: c[6:] for c in rcols})
-        for cols, side in ((left_cols, lg), (right_cols, rg)):
-            if cols:
-                for c in cols:
-                    if c not in side.columns:
-                        side[c] = pd.Series([], dtype=object) if side.empty \
-                            else pd.NA
-        # a bucket is empty-result only when the join type can't emit
-        # rows from the side(s) present: inner needs both, left needs
-        # the left side, right needs the right, outer needs either
-        if (lg.empty and rg.empty) \
-                or (lg.empty and how in ("inner", "left")) \
-                or (rg.empty and how in ("inner", "right")):
-            return arrow_out(pd.DataFrame())
-        out = lg.merge(rg, on=on, how=how, suffixes=suffixes)
-        for c, dt in restore.items():
-            if c in out.columns and out[c].dtype != dt and \
-                    not out[c].isna().any():
-                out[c] = out[c].astype(dt)
-        return arrow_out(out)
-
-    return both.groupby("_bucket").map_groups(join_bucket,
-                                              batch_format="pyarrow")
+    return cogroup([(left, on), (right, on)], join_bucket,
+                   num_buckets=num_buckets)
 
 
 def broadcast_join(left, right, on: str, *,
@@ -192,7 +144,7 @@ def broadcast_join(left, right, on: str, *,
 
     # pyarrow-declared (merge itself is pandas): a pandas-declared map
     # fused into a downstream aggregate forces the exchange onto the
-    # pandas slow path (see bucketed_hash_join's tag note)
+    # pandas slow path (see groups.bucketed_group_apply)
     def merge(t: pa.Table):
         r = ray.get(right_ref)
         return arrow_out(t.to_pandas().merge(r, on=on, how=how,
@@ -319,54 +271,105 @@ def asof_join(left, right, *, key: str, left_ts: str, right_ts: str,
     ``left_ts``; ``"forward"`` the earliest ``right_ts`` ≥ ``left_ts``.
     ``tolerance`` (``pd.Timedelta`` for datetime keys) bounds the gap —
     a match farther than that is treated as absent. Right value columns
-    are appended (NaN/NaT when no match). One bucket shuffle;
-    per-bucket ``pd.merge_asof`` over sorted frames."""
+    are appended, null when no match. One ``cogroup`` exchange on the
+    key; per bucket ``pd.merge_asof`` over ts-sorted index frames, whose
+    row positions ``take`` the columns from the Arrow sides."""
 
-    # side membership via column prefixes; arrow-native pyarrow-declared
-    # tags (see bucketed_hash_join)
-    def tag(side: str, ts_col: str):
-        def fn(t: pa.Table) -> pa.Table:
-            t = t.rename_columns(
-                [c if c == key else f"{side}::{c}" for c in t.column_names])
-            h = (pd.util.hash_array(t[key].to_numpy(zero_copy_only=False))
-                 % num_buckets).astype("int64")
-            t = t.append_column("_bucket", pa.array(h, pa.int64()))
-            t = t.append_column(
-                "_side", pa.array([side] * t.num_rows, pa.string()))
-            return t.append_column("_ts", t[f"{side}::{ts_col}"])
+    def frame(t: pa.Table, ts_col: str, ts_type, pos: str) -> pd.DataFrame:
+        return pd.DataFrame({
+            "_ts": t[ts_col].cast(ts_type).to_pandas(),
+            key: t[key].to_pandas(),
+            pos: np.arange(t.num_rows)}).sort_values(["_ts", key],
+                                                     kind="stable")
 
-        return fn
+    def join_bucket(lt: pa.Table | None, rt: pa.Table | None):
+        if lt is None:
+            return pa.table({})
+        ts_type = lt.schema.field(left_ts).type
+        if rt is None:
+            rt = _absent(lt, [key], value_cols).append_column(
+                right_ts, pa.array([], ts_type))
+        m = pd.merge_asof(
+            frame(lt, left_ts, ts_type, "_li"),
+            frame(rt, right_ts, ts_type, "_ri"), on="_ts", by=key,
+            direction=direction, allow_exact_matches=True,
+            tolerance=tolerance)
+        out = lt.take(_take_idx(m["_li"]))
+        vals = rt.select(value_cols).take(_take_idx(m["_ri"]))
+        names = [key] + [c for c in lt.column_names if c != key]
+        return pa.table(out.select(names).columns + vals.columns,
+                        names=names + value_cols)
 
-    both = left.map_batches(tag("l", left_ts), batch_format="pyarrow").union(
-        right.map_batches(tag("r", right_ts), batch_format="pyarrow")
-    )
+    return cogroup([(left, key), (right, key)], join_bucket,
+                   num_buckets=num_buckets)
 
-    def join_bucket(t: pa.Table):
-        g = t.to_pandas()
-        lcols = [c for c in g.columns if c.startswith("l::")]
-        rcols = [c for c in g.columns if c.startswith("r::")]
-        lg = g.loc[g["_side"] == "l", [key, "_ts"] + lcols].rename(
-            columns={c: c[3:] for c in lcols})
-        rg = g.loc[g["_side"] == "r", [key, "_ts"] + rcols].rename(
-            columns={c: c[3:] for c in rcols})
-        if lg.empty:
-            return arrow_out(pd.DataFrame())
-        lg = lg.sort_values(["_ts", key], kind="stable")
-        if rg.empty:
-            out = lg.copy()
-            for c in value_cols:
-                out[c] = pd.Series([pd.NA] * len(out), index=out.index)
-        else:
-            rg = rg.sort_values(["_ts", key], kind="stable")
-            out = pd.merge_asof(
-                lg, rg[[key, "_ts"] + value_cols], on="_ts", by=key,
-                direction=direction, allow_exact_matches=True,
-                tolerance=tolerance,
-            )
-        return arrow_out(out.drop(columns=["_ts"]))
 
-    return both.groupby("_bucket").map_groups(join_bucket,
-                                              batch_format="pyarrow")
+def _us(col) -> np.ndarray:
+    """µs int64 of a datetime column of any unit, or of an integer
+    column taken as µs already."""
+    arr = np.asarray(col.to_numpy(zero_copy_only=False))
+    if arr.dtype.kind == "M":
+        return arr.astype("datetime64[us]").astype(np.int64)
+    return arr.astype(np.int64)
+
+
+def _time_bucketed_count(probes, points, *, probe_span, point_ts: str,
+                         id_col: str, width: int, num_buckets: int,
+                         max_reps: int | None = None):
+    """The range-join shape behind ``temporal_band_count`` and
+    ``interval_count_join``: per probe row, the count of ``points``
+    rows whose ``point_ts`` lies in the probe's inclusive ``[lo, hi]``
+    (``probe_span(t) -> (lo, hi)`` in µs), as rows ``(id_col,
+    _partial)`` to sum by ``id_col``.
+
+    The time axis splits into time buckets of ``width`` µs, which map
+    onto the ``cogroup`` buckets modulo ``num_buckets``. A point ships
+    to its one time bucket; a probe repeats into every time bucket its
+    span overlaps and counts, with two ``searchsorted`` calls over the
+    bucket's sorted points, only the points of the time bucket it was
+    repeated into (time buckets are disjoint ranges, so clamping the
+    span to that range is enough). Probes with no match still emit a
+    zero partial."""
+
+    def route_probes(b: pa.Table):
+        lo, hi = probe_span(b)
+        lo_b, hi_b = lo // width, hi // width
+        reps = (hi_b - lo_b + 1).astype(np.int64)
+        if max_reps is not None and len(reps) and reps.max() > max_reps:
+            raise ValueError(
+                f"interval spans {reps.max()} buckets > max_reps="
+                f"{max_reps}; raise bucket_us or broadcast the outlier")
+        starts = np.cumsum(reps) - reps
+        rep_idx = np.repeat(np.arange(b.num_rows), reps)
+        tb = lo_b[rep_idx] + np.arange(len(rep_idx)) - starts[rep_idx]
+        return pa.table({
+            "_tb": pa.array(tb, pa.int64()),
+            "_lo": pa.array(lo[rep_idx], pa.int64()),
+            "_hi": pa.array(hi[rep_idx], pa.int64()),
+            # take keeps the id column's exact type
+            id_col: b[id_col].take(pa.array(rep_idx))}), tb % num_buckets
+
+    def route_points(b: pa.Table):
+        ts = _us(b[point_ts])
+        return (pa.table({"_ts": pa.array(ts, pa.int64())}),
+                (ts // width) % num_buckets)
+
+    def count_bucket(pr: pa.Table | None, pt: pa.Table | None):
+        if pr is None:  # no probe rows anywhere: every bucket says so
+            return pa.table({id_col: pa.array([], pa.int64()),
+                             "_partial": pa.array([], pa.int64())})
+        ts = np.sort(pt["_ts"].to_numpy()) if pt is not None \
+            else np.empty(0, np.int64)
+        tb = pr["_tb"].to_numpy()
+        lo = np.maximum(pr["_lo"].to_numpy(), tb * width)
+        hi = np.minimum(pr["_hi"].to_numpy(), (tb + 1) * width - 1)
+        n = (np.searchsorted(ts, hi, side="right")
+             - np.searchsorted(ts, lo, side="left"))
+        return pa.table({id_col: pr[id_col],
+                         "_partial": pa.array(n, pa.int64())})
+
+    return cogroup([(probes, route_probes), (points, route_points)],
+                   count_bucket, num_buckets=num_buckets)
 
 
 def temporal_band_count(left, right, *, left_ts: str, right_ts: str,
@@ -375,15 +378,12 @@ def temporal_band_count(left, right, *, left_ts: str, right_ts: str,
     """RANGE JOIN (no equi key): for each left row, the COUNT of right
     rows with ``|right_ts - left_ts| ≤ band_us``, inclusive both ends.
 
-    Distributed shape — time-bucket partitioning with probe
-    replication: the time axis splits into buckets of width
-    ``W = 2·band`` so a probe's window overlaps ≤ 2 buckets. Right
-    rows shuffle once as (bucket, ts µs) pairs; each left row is
-    REPLICATED to its ≤ 2 overlapping buckets; per bucket, right
-    timestamps sort once and every probe counts matches with two
-    vectorized ``searchsorted`` calls. Per-bucket partial counts sum
-    in a final small groupby on the left key (partials are ≤ 16-byte
-    rows — the event payload never shuffles).
+    Distributed shape (``_time_bucketed_count``): time buckets of width
+    ``W = 2·band`` so a probe's window overlaps ≤ 2 of them. Right rows
+    shuffle once as bare µs timestamps; each left row repeats into its
+    ≤ 2 overlapping time buckets; per-bucket partial counts sum in a
+    final small groupby on the left key (partials are ≤ 16-byte rows —
+    the event payload never shuffles).
 
     Partitioning assumption: one time bucket's right rows fit in a
     worker's heap — i.e. the right stream is not pathologically
@@ -391,67 +391,13 @@ def temporal_band_count(left, right, *, left_ts: str, right_ts: str,
     (or sub-salt a hot bucket) if it is."""
     from ray.data.aggregate import Sum
 
-    width = 2 * band_us
-
-    def _us(col) -> np.ndarray:
-        # µs int64 regardless of the column's datetime unit (ns vs us)
-        arr = col.to_numpy(zero_copy_only=False)
-        return np.asarray(arr, dtype="datetime64[us]").astype(np.int64)
-
-    # pyarrow-declared prep maps (see bucketed_hash_join's tag note)
-    def prep_right(b: pa.Table) -> pa.Table:
-        ts = _us(b[right_ts])
-        return pa.table({
-            "_bucket": pa.array(ts // width, pa.int64()),
-            "_side": pa.array(np.repeat(np.int8(1), len(ts)), pa.int8()),
-            "_ts": pa.array(ts, pa.int64()),
-            left_key: pa.array(np.zeros(len(ts), dtype=np.int64), pa.int64()),
-        })
-
-    def prep_left(b: pa.Table) -> pa.Table:
+    def span(b: pa.Table):
         ts = _us(b[left_ts])
-        keys = b[left_key].to_numpy(zero_copy_only=False)
-        lo_b = (ts - band_us) // width
-        hi_b = (ts + band_us) // width
-        reps = (1 + (hi_b != lo_b)).astype(np.int64)
-        buckets = np.empty(int(reps.sum()), dtype=np.int64)
-        # first replica at lo bucket, optional second at hi bucket
-        first = np.cumsum(reps) - reps
-        buckets[first] = lo_b
-        second = first[reps == 2] + 1
-        buckets[second] = hi_b[reps == 2]
-        return pa.table({
-            "_bucket": pa.array(buckets, pa.int64()),
-            "_side": pa.array(np.repeat(np.int8(0), len(buckets)), pa.int8()),
-            "_ts": pa.array(np.repeat(ts, reps), pa.int64()),
-            left_key: pa.array(np.repeat(keys, reps)),
-        })
+        return ts - band_us, ts + band_us
 
-    both = left.map_batches(prep_left, batch_format="pyarrow").union(
-        right.map_batches(prep_right, batch_format="pyarrow"))
-
-    def count_bucket(t: pa.Table):
-        g = t.to_pandas()
-        probes = g[g["_side"] == 0]
-        if probes.empty:
-            return arrow_out(
-                pd.DataFrame({left_key: pd.Series([], dtype="int64"),
-                              "_partial": pd.Series([], dtype="int64")}))
-        rts = np.sort(g.loc[g["_side"] == 1, "_ts"].to_numpy())
-        # count right rows of THIS bucket only — the probe's replica in
-        # its other overlapping bucket counts that bucket's (disjoint)
-        # right rows, and the final Sum merges the partials
-        bucket = int(g["_bucket"].iloc[0])
-        pts = probes["_ts"].to_numpy()
-        lo = np.maximum(pts - band_us, bucket * width)
-        hi = np.minimum(pts + band_us, (bucket + 1) * width - 1)
-        n = (np.searchsorted(rts, hi, side="right")
-             - np.searchsorted(rts, lo, side="left"))
-        return arrow_out(pd.DataFrame({left_key: probes[left_key].to_numpy(),
-                                       "_partial": n.astype("int64")}))
-
-    partials = both.groupby("_bucket").map_groups(
-        count_bucket, batch_format="pyarrow")
+    partials = _time_bucketed_count(
+        left, right, probe_span=span, point_ts=right_ts, id_col=left_key,
+        width=2 * band_us, num_buckets=32)
     return partials.groupby(left_key).aggregate(
         Sum("_partial", alias_name=out_col))
 
@@ -465,98 +411,25 @@ def interval_count_join(intervals, points, *, id_col: str, lo_col: str,
     ±band around a probe to arbitrary per-row intervals (maintenance
     windows, sessions, ad flights).
 
-    Distributed shape: the time axis splits into ``bucket_us`` buckets;
-    points shuffle ONCE to their single bucket, each interval is
-    replicated to every bucket it overlaps (``len/W + 1`` replicas —
-    choose W near the typical interval length), each bucket sorts its
-    points once and answers every interval with two ``searchsorted``
-    calls over the CLAMPED sub-range, and per-bucket partials Sum by
-    interval id. Intervals with zero matches still emit (their
-    partials are 0), so the result covers every interval.
+    Distributed shape (``_time_bucketed_count``): time buckets of
+    ``bucket_us``; points shuffle ONCE to their single time bucket,
+    each interval repeats into every time bucket it overlaps
+    (``len/W + 1`` copies — choose W near the typical interval length),
+    and per-bucket partials Sum by interval id. Intervals with zero
+    matches still emit (their partials are 0), so the result covers
+    every interval. ``id_col`` may be any Arrow type (int, string
+    window names, …) and keeps it.
 
-    Guard: an interval spanning > ``max_reps`` buckets raises — a
+    Guard: an interval spanning > ``max_reps`` time buckets raises — a
     whole-axis interval would otherwise fan out to every bucket
-    (replicate such outliers via a broadcast side channel instead).
-
-    ``id_col`` may be any Arrow type (int, string window names, …):
-    the points side is padded with typed nulls matching the intervals'
-    id column so the union schema always lines up."""
+    (replicate such outliers via a broadcast side channel instead)."""
     from ray.data.aggregate import Sum
 
-    # the points side never carries a real id — pad it with nulls of
-    # the INTERVALS' id type so union() sees one schema regardless of
-    # whether ids are int64 or string window names
-    _sch = intervals.schema()
-    id_type = dict(zip(_sch.names, _sch.types))[id_col]
-
-    def _us(col) -> np.ndarray:
-        arr = np.asarray(col.to_numpy(zero_copy_only=False))
-        if arr.dtype.kind == "M":  # any datetime64 unit → µs int64
-            return arr.astype("datetime64[us]").astype(np.int64)
-        return arr.astype(np.int64)
-
-    def prep_points(b: pa.Table) -> pa.Table:
-        ts = _us(b[ts_col])
-        return pa.table({
-            "_bucket": pa.array(ts // bucket_us, pa.int64()),
-            "_side": pa.array(np.repeat(np.int8(1), len(ts)), pa.int8()),
-            "_lo": pa.array(ts, pa.int64()),
-            "_hi": pa.array(np.zeros(len(ts), dtype=np.int64), pa.int64()),
-            id_col: pa.nulls(len(ts), id_type),
-        })
-
-    def prep_intervals(b: pa.Table) -> pa.Table:
-        lo = _us(b[lo_col])
-        hi = _us(b[hi_col])
-        lo_b = lo // bucket_us
-        hi_b = hi // bucket_us
-        reps = (hi_b - lo_b + 1).astype(np.int64)
-        if len(reps) and reps.max() > max_reps:
-            raise ValueError(
-                f"interval spans {reps.max()} buckets > max_reps="
-                f"{max_reps}; raise bucket_us or broadcast the outlier")
-        starts = np.cumsum(reps) - reps
-        offs = np.arange(int(reps.sum()), dtype=np.int64) \
-            - np.repeat(starts, reps)
-        rep_idx = np.repeat(np.arange(b.num_rows, dtype=np.int64), reps)
-        return pa.table({
-            "_bucket": pa.array(np.repeat(lo_b, reps) + offs, pa.int64()),
-            "_side": pa.array(np.zeros(int(reps.sum()), dtype=np.int8),
-                              pa.int8()),
-            "_lo": pa.array(np.repeat(lo, reps), pa.int64()),
-            "_hi": pa.array(np.repeat(hi, reps), pa.int64()),
-            # arrow take preserves the id column's exact type
-            id_col: b[id_col].take(pa.array(rep_idx)).combine_chunks(),
-        })
-
-    both = intervals.map_batches(prep_intervals,
-                                 batch_format="pyarrow").union(
-        points.map_batches(prep_points, batch_format="pyarrow"))
-
-    def count_bucket(t: pa.Table):
-        # stay Arrow-native: to_pandas would promote the null-padded
-        # int id column to float64 and break the output schema
-        side = t["_side"].to_numpy(zero_copy_only=False)
-        probe_mask = side == 0
-        if not probe_mask.any():
-            return pa.table({id_col: pa.array([], id_type),
-                             "_partial": pa.array([], pa.int64())})
-        pts = np.sort(t["_lo"].to_numpy(zero_copy_only=False)[side == 1])
-        bucket = int(t["_bucket"][0].as_py())
-        # count THIS bucket's points only; other replicas cover the
-        # rest of the interval and the final Sum merges the partials
-        lo = np.maximum(t["_lo"].to_numpy(zero_copy_only=False)[probe_mask],
-                        bucket * bucket_us)
-        hi = np.minimum(t["_hi"].to_numpy(zero_copy_only=False)[probe_mask],
-                        (bucket + 1) * bucket_us - 1)
-        n = (np.searchsorted(pts, hi, side="right")
-             - np.searchsorted(pts, lo, side="left"))
-        ids = t[id_col].filter(pa.array(probe_mask)).combine_chunks()
-        return pa.table({id_col: ids,
-                         "_partial": pa.array(n.astype("int64"))})
-
-    partials = both.groupby("_bucket").map_groups(
-        count_bucket, batch_format="pyarrow")
+    partials = _time_bucketed_count(
+        intervals, points,
+        probe_span=lambda b: (_us(b[lo_col]), _us(b[hi_col])),
+        point_ts=ts_col, id_col=id_col, width=bucket_us, num_buckets=32,
+        max_reps=max_reps)
     return partials.groupby(id_col).aggregate(
         Sum("_partial", alias_name=out_col))
 
@@ -572,10 +445,6 @@ def write_bucketed(ds, key: str, out_dir: str, *, num_buckets: int = 16,
     — paid at ingest/write time. Every later join on ``key`` between
     tables bucketed this way is bucket-local (Hive/Spark bucketed-table
     pattern): at 100 TB the fact table never re-shuffles per query."""
-    import pyarrow.compute as pc
-
-    from .groups import stable_bucket
-
     def add_bucket(t: pa.Table) -> pa.Table:
         if columns is not None:
             t = t.select(columns)
@@ -665,39 +534,31 @@ def snapshot_diff(old_ds, new_ds, *, key_col: str, hash_col: str = "h",
 
     Scale shape: each side is first reduced to payload-free
     (key, content-hash) rows — the ONLY bytes that shuffle — then one
-    hash-bucketed exchange co-locates each key's two versions and a
+    ``cogroup`` exchange co-locates each key's two versions and a
     vectorized outer index-join per bucket emits the changed set.
     Unchanged keys (the overwhelming majority of an incremental
     refresh) are dropped inside the bucket, never collected."""
-    from .groups import bucketed_group_apply
+    cols = [key_col, hash_col]
 
-    def tag(side: int):
-        def fn(t: pa.Table) -> pa.Table:
-            return pa.table({
-                key_col: t[key_col],
-                hash_col: t[hash_col],
-                "_side": pa.array(
-                    np.full(t.num_rows, side, np.int8), pa.int8()),
-            })
-        return fn
+    def diff_bucket(old: pa.Table | None, new: pa.Table | None):
+        old = new.schema.empty_table() if old is None else old
+        new = old.schema.empty_table() if new is None else new
 
-    both = old_ds.map_batches(tag(0), batch_format="pyarrow").union(
-        new_ds.map_batches(tag(1), batch_format="pyarrow"))
+        def hashes(t: pa.Table, name: str) -> pd.DataFrame:
+            return pd.DataFrame({name: t[hash_col].to_numpy()},
+                                index=t[key_col].to_numpy())
 
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        if g.empty or key_col not in g.columns:
-            # a fully-empty input dataset delivers a column-less frame
-            return pd.DataFrame({key_col: pd.Series([], dtype="int64"),
-                                 "change": pd.Series([], dtype="object")})
-        old = g.loc[g["_side"] == 0].set_index(key_col)[hash_col]
-        new = g.loc[g["_side"] == 1].set_index(key_col)[hash_col]
-        j = old.to_frame("h_old").join(new.to_frame("h_new"), how="outer")
+        j = hashes(old, "h_old").join(hashes(new, "h_new"), how="outer")
         change = np.where(
             j["h_old"].isna(), "added",
             np.where(j["h_new"].isna(), "removed",
                      np.where(j["h_old"] != j["h_new"], "changed", "same")))
-        out = pd.DataFrame({key_col: j.index.to_numpy(), "change": change})
-        return out[out["change"] != "same"]
+        keep = change != "same"
+        return pa.table({
+            key_col: pa.array(j.index.to_numpy()[keep],
+                              old.schema.field(key_col).type),
+            "change": pa.array(change[keep], pa.string())})
 
-    return bucketed_group_apply(both, key_col, per_bucket,
-                                num_buckets=num_buckets)
+    return cogroup([(old_ds.select_columns(cols), key_col),
+                    (new_ds.select_columns(cols), key_col)], diff_bucket,
+                   num_buckets=num_buckets)

@@ -370,3 +370,32 @@ def test_no_hand_rolled_probes():
                     bad.add(f"{path.name}:{n.lineno}")
     assert not bad, (
         f"hand-rolled sorted-key probes (use probe_sorted): {sorted(bad)}")
+
+
+def test_no_hand_rolled_two_sided_exchange():
+    """Co-locating two datasets goes through ``groups.cogroup``, the one
+    two-sided exchange. Reject a function that ``.union(``s datasets
+    and shuffles the union on a bucket by hand: it runs
+    ``groupby("_bucket")`` or tags its rows with a ``"_side"`` column."""
+    import ast
+
+    def attr_calls(fn, name):
+        return [n for n in ast.walk(fn) if isinstance(n, ast.Call)
+                and getattr(n.func, "attr", None) == name]
+
+    bad = set()
+    for path, _ in _py_files("pdf_to_text_ray"):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, ast.FunctionDef) or fn.name == "cogroup" \
+                    or not attr_calls(fn, "union"):
+                continue
+            by_bucket = any(
+                n.args and getattr(n.args[0], "value", None) == "_bucket"
+                for n in attr_calls(fn, "groupby"))
+            side_tag = any(isinstance(n, ast.Constant) and n.value == "_side"
+                           for n in ast.walk(fn))
+            if by_bucket or side_tag:
+                bad.add(f"{path.name}:{fn.name}")
+    assert not bad, (
+        f"hand-rolled two-sided exchanges (use groups.cogroup): "
+        f"{sorted(bad)}")

@@ -570,3 +570,153 @@ def test_merge_into_matches_reference_randomized(ray_session):
                   .sort_values("k").reset_index(drop=True))
         pd.testing.assert_frame_equal(
             out.astype({"k": "int64"}), expect.astype({"k": "int64"}))
+
+
+def _typed_side(n: int, seed: int) -> pa.Table:
+    """int32, int64, timestamp[us], string and binary columns keyed by
+    an int64 ``k`` (duplicates included)."""
+    rng = np.random.default_rng(seed)
+    ts = (np.datetime64("2024-01-01T00:00:00", "us")
+          + rng.integers(0, 3_600_000_000, n).astype("timedelta64[us]"))
+    return pa.table({
+        "k": pa.array(rng.integers(0, n // 2, n), pa.int64()),
+        "i32": pa.array(rng.integers(-5, 5, n), pa.int32()),
+        "i64": pa.array(rng.integers(0, 1 << 40, n), pa.int64()),
+        "ts": pa.array(ts, pa.timestamp("us")),
+        "s": pa.array([f"s{i}" for i in range(n)], pa.string()),
+        "b": pa.array([b"\x00b%d" % i for i in range(n)], pa.binary())})
+
+
+_TYPED = {"i32": pa.int32(), "i64": pa.int64(), "ts": pa.timestamp("us"),
+          "s": pa.string(), "b": pa.binary()}
+
+
+def _join(L, R):
+    from pdf_to_text_ray.stages.joins import bucketed_hash_join
+
+    right = R.map_batches(lambda t: t.rename_columns(
+        ["k"] + [f"r_{c}" for c in t.column_names[1:]]),
+        batch_format="pyarrow")
+    return (bucketed_hash_join(L, right, "k", num_buckets=8),
+            {**_TYPED, **{f"r_{c}": t for c, t in _TYPED.items()}})
+
+
+def _asof(L, R):
+    right = R.map_batches(lambda t: t.rename_columns(
+        ["k", "v32", "v64", "ts", "vs", "vb"]), batch_format="pyarrow")
+    return (asof_join(L, right, key="k", left_ts="ts", right_ts="ts",
+                      value_cols=["v32", "v64", "vs", "vb"], num_buckets=8),
+            {**_TYPED, "v32": pa.int32(), "v64": pa.int64(),
+             "vs": pa.string(), "vb": pa.binary()})
+
+
+def _band(L, R):
+    from pdf_to_text_ray.stages.joins import temporal_band_count
+
+    # Ray's grouped Sum widens an int32 key, so the ids here are the
+    # types the aggregate keeps
+    return (temporal_band_count(L, R, left_ts="ts", right_ts="ts",
+                                left_key="b", band_us=60_000_000),
+            {"b": pa.binary(), "n_matches": pa.int64()})
+
+
+def _interval(L, R):
+    from pdf_to_text_ray.stages.joins import interval_count_join
+
+    def span(t):
+        lo = t["ts"].cast(pa.int64())
+        return pa.table({"s": t["s"], "lo": lo,
+                         "hi": pa.array(lo.to_numpy() + 90_000_000)})
+
+    return (interval_count_join(
+        L.map_batches(span, batch_format="pyarrow"), R, id_col="s",
+        lo_col="lo", hi_col="hi", ts_col="ts", bucket_us=60_000_000),
+        {"s": pa.string(), "n_matches": pa.int64()})
+
+
+def _diff(L, R):
+    from pdf_to_text_ray.stages.joins import snapshot_diff
+
+    def kh(t):
+        return pa.table({"id": t["i32"], "h": t["s"]})
+
+    return (snapshot_diff(L.map_batches(kh, batch_format="pyarrow"),
+                          R.map_batches(kh, batch_format="pyarrow"),
+                          key_col="id", num_buckets=8),
+            {"id": pa.int32(), "change": pa.string()})
+
+
+def _merge(L, R):
+    from pdf_to_text_ray.stages.cdc import merge_into
+
+    def unique_keys(t):
+        return t.set_column(0, "k", t["i64"])
+
+    def ops(t):
+        op = np.where(t["i32"].to_numpy() < 0, "D", "U")
+        return unique_keys(t).append_column("op", pa.array(op))
+
+    return (merge_into(L.map_batches(unique_keys, batch_format="pyarrow"),
+                       R.map_batches(ops, batch_format="pyarrow"),
+                       key="k", num_buckets=8),
+            {"k": pa.int64(), **_TYPED})
+
+
+@pytest.mark.parametrize("build", [_join, _asof, _band, _interval, _diff,
+                                   _merge])
+def test_two_sided_exchange_one_schema_exact_types(ray_session, build):
+    """Every two-sided operator runs one exchange with one schema: Ray
+    logs no 'different schema' bundle, and the columns it carries
+    through come back with their exact Arrow types (no int64
+    widening, no float coercion, no pandas round trip of binary)."""
+    import logging
+
+    import ray
+    import ray.data as rd
+
+    class Capture(logging.Handler):
+        def __init__(self):
+            super().__init__(level=logging.WARNING)
+            self.records = []
+
+        def emit(self, record):
+            self.records.append(record.getMessage())
+
+    L = rd.from_arrow(_typed_side(400, 1)).repartition(4)
+    R = rd.from_arrow(_typed_side(300, 2)).repartition(3)
+    cap = Capture()
+    lg = logging.getLogger("ray.data")
+    lg.addHandler(cap)
+    try:
+        ds, want = build(L, R)
+        out = pa.concat_tables(
+            [t for t in ray.get(ds.to_arrow_refs()) if t.num_columns],
+            promote_options="permissive")
+    finally:
+        lg.removeHandler(cap)
+    assert not [m for m in cap.records if "different schema" in m]
+    assert out.num_rows > 0
+    assert {c: out.schema.field(c).type for c in want} == want
+
+
+@pytest.mark.parametrize("how", ["left", "outer"])
+def test_non_inner_join_keeps_declared_cols_of_an_empty_side(ray_session,
+                                                            how):
+    """A side whose rows are all filtered away ships nothing, not even
+    its schema; a left or outer join still emits its declared
+    ``right_cols``, as null columns, next to every left row."""
+    import ray.data as rd
+
+    left = pa.table({"k": pa.array([1, 2, 2, 3], pa.int64()),
+                     "lv": pa.array([10, 20, 21, 30], pa.int32())})
+    right = rd.from_arrow(pa.table({
+        "k": pa.array([1, 2], pa.int64()), "rv": ["a", "b"],
+        "rw": [1.5, 2.5]})).filter(expr="k > 5")
+    out = (bucketed_hash_join(rd.from_arrow(left).repartition(2), right,
+                              "k", how=how, num_buckets=4,
+                              left_cols=["lv"], right_cols=["rv", "rw"])
+           .to_pandas().sort_values(["k", "lv"]).reset_index(drop=True))
+    assert list(out.columns) == ["k", "lv", "rv", "rw"]
+    assert out["k"].tolist() == [1, 2, 2, 3]
+    assert out["lv"].tolist() == [10, 20, 21, 30]
+    assert out[["rv", "rw"]].isna().all().all()

@@ -77,7 +77,7 @@ def main():
     sf_dir = os.path.abspath(sf_dir)
     sys.path.insert(0, ROOT)
     os.chdir(ROOT)
-    ray.init(address="local", num_cpus=8, include_dashboard=False,
+    ray.init(address="local", num_cpus=os.cpu_count(), include_dashboard=False,
              logging_level="ERROR")
     import __ray_entry__ as entrymod
 
